@@ -20,6 +20,22 @@ pub struct MethodId {
     pub index: u32,
 }
 
+impl MethodId {
+    /// The id packed into one integer, for per-method tables that hash
+    /// it once with an id hasher. [`MethodId::from_key`] inverts it.
+    pub const fn key(self) -> u64 {
+        ((self.class.0 as u64) << 32) | self.index as u64
+    }
+
+    /// The id that [`MethodId::key`] packed into `key`.
+    pub const fn from_key(key: u64) -> MethodId {
+        MethodId {
+            class: ClassId((key >> 32) as u32),
+            index: key as u32,
+        }
+    }
+}
+
 /// An instance or static field declaration. All fields occupy one
 /// 4-byte slot (ints and references), matching the 32-bit SPARC era
 /// the paper targets.
@@ -331,5 +347,19 @@ mod tests {
         assert_eq!(mid.class, p.class("Base").unwrap());
         let chain = p.ancestry(p.class("Derived").unwrap());
         assert_eq!(chain.len(), 2);
+    }
+
+    #[test]
+    fn method_key_round_trips_and_is_injective() {
+        let ids = [(0, 0), (0, 1), (1, 0), (7, 3), (u32::MAX, u32::MAX)].map(|(c, i)| MethodId {
+            class: ClassId(c),
+            index: i,
+        });
+        for a in ids {
+            assert_eq!(MethodId::from_key(a.key()), a);
+            for b in ids {
+                assert_eq!(a.key() == b.key(), a == b);
+            }
+        }
     }
 }

@@ -3,13 +3,13 @@
 
 use crate::profile::ProfileTable;
 use jrt_bytecode::MethodId;
-use std::collections::HashMap;
+use jrt_trace::IdHashMap;
 
 /// Per-method translate/interpret decisions for
 /// [`JitPolicy::Oracle`](crate::JitPolicy::Oracle).
 #[derive(Debug, Clone, Default)]
 pub struct OracleDecisions {
-    decisions: HashMap<MethodId, bool>,
+    decisions: IdHashMap<u64, bool>,
 }
 
 impl OracleDecisions {
@@ -21,7 +21,7 @@ impl OracleDecisions {
     /// translation cycles, `n_i` = invocation count. Translate iff
     /// `I_i > E_i` and `n_i > T_i / (I_i − E_i)`.
     pub fn from_profiles(interp: &ProfileTable, jit: &ProfileTable) -> Self {
-        let mut decisions = HashMap::new();
+        let mut decisions = IdHashMap::default();
         for (mid, ip) in interp.iter() {
             let Some(jp) = jit.get(mid) else { continue };
             let n = ip.invocations.max(1) as f64;
@@ -29,20 +29,20 @@ impl OracleDecisions {
             let e_per = jp.native_cycles as f64 / jp.invocations.max(1) as f64;
             let t = jp.translate_cycles as f64;
             let translate = i_per > e_per && n > t / (i_per - e_per);
-            decisions.insert(mid, translate);
+            decisions.insert(mid.key(), translate);
         }
         OracleDecisions { decisions }
     }
 
     /// Forces a decision for one method (tests, what-if studies).
     pub fn set(&mut self, method: MethodId, translate: bool) {
-        self.decisions.insert(method, translate);
+        self.decisions.insert(method.key(), translate);
     }
 
     /// Whether to translate `method`; methods absent from the profile
     /// default to interpretation.
     pub fn should_translate(&self, method: MethodId) -> bool {
-        self.decisions.get(&method).copied().unwrap_or(false)
+        self.decisions.get(&method.key()).copied().unwrap_or(false)
     }
 
     /// Number of methods decided.

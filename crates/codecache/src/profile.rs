@@ -12,7 +12,7 @@
 //! stay low.
 
 use jrt_bytecode::MethodId;
-use std::collections::HashMap;
+use jrt_trace::IdHashMap;
 
 /// Cost profile of one method.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,7 +56,7 @@ impl MethodProfile {
 /// Profiles for all methods touched by a run.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileTable {
-    methods: HashMap<MethodId, MethodProfile>,
+    methods: IdHashMap<u64, MethodProfile>,
 }
 
 impl ProfileTable {
@@ -67,22 +67,24 @@ impl ProfileTable {
 
     /// Increments a method's invocation count.
     pub fn record_invocation(&mut self, method: MethodId) {
-        self.methods.entry(method).or_default().invocations += 1;
+        self.get_mut(method).invocations += 1;
     }
 
     /// Mutable access, creating the entry if needed.
     pub fn get_mut(&mut self, method: MethodId) -> &mut MethodProfile {
-        self.methods.entry(method).or_default()
+        self.methods.entry(method.key()).or_default()
     }
 
     /// The profile for `method`, if it ever ran.
     pub fn get(&self, method: MethodId) -> Option<&MethodProfile> {
-        self.methods.get(&method)
+        self.methods.get(&method.key())
     }
 
     /// Iterates over `(method, profile)`.
     pub fn iter(&self) -> impl Iterator<Item = (MethodId, &MethodProfile)> {
-        self.methods.iter().map(|(k, v)| (*k, v))
+        self.methods
+            .iter()
+            .map(|(&k, v)| (MethodId::from_key(k), v))
     }
 
     /// Number of profiled methods.

@@ -33,7 +33,7 @@ use crate::runner::Mode;
 use crate::table::{count, Table};
 use crate::tape;
 use jrt_cache::SplitCaches;
-use jrt_trace::{CountingSink, FanoutSink, Phase, Region};
+use jrt_trace::{CountingSink, Phase, Region};
 use jrt_vm::{CacheScope, CodeCacheConfig, EvictionPolicy, ExecMode, JitPolicy, Vm, VmConfig};
 use jrt_workloads::{multi, suite, Size, Spec};
 
@@ -92,15 +92,12 @@ struct Measured {
 /// Direct VM run under `cfg` with instruction counts and the paper's
 /// L1 caches attached.
 fn run_cfg(w: &Workload, cfg: VmConfig) -> Measured {
-    let mut counts = CountingSink::new();
-    let mut caches = SplitCaches::paper_l1();
-    let result = {
-        let mut fan = FanoutSink::new().with(&mut counts).with(&mut caches);
-        Vm::new(&w.program, cfg)
-            .run(&mut fan)
-            .expect("workload runs clean")
-    };
+    let mut sinks = (CountingSink::new(), SplitCaches::paper_l1());
+    let result = Vm::new(&w.program, cfg)
+        .run(&mut sinks)
+        .expect("workload runs clean");
     w.check(&result);
+    let (counts, caches) = sinks;
     let (_i, d) = caches.into_inner();
     Measured {
         total: counts.total(),

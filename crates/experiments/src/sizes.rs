@@ -9,10 +9,10 @@
 //! translation share of JIT time falling as inputs grow.
 
 use crate::jobs;
-use crate::runner::Mode;
+use crate::runner::{run_mode, Mode};
 use crate::table::{pct, Table};
 use crate::tape;
-use jrt_trace::Phase;
+use jrt_trace::{CountingSink, Phase};
 use jrt_workloads::{compress, db, javac, Size, Spec};
 
 /// Translate share at each size for one benchmark.
@@ -63,19 +63,28 @@ impl Sizes {
 
 const SIZES: [Size; 3] = [Size::Tiny, Size::S1, Size::S10];
 
-/// One benchmark × size job. Sizes differ per job, so there is no
-/// shared prebuild, but the per-`(benchmark, size)` program and
-/// recordings come from the tape cache — the s1 points are shared
-/// with the rest of a `run_all`.
-fn run_point(spec: &Spec, size: Size) -> (f64, f64) {
+/// Instruction counts of one `(benchmark, size, mode)` run. Tiny and
+/// s1 recordings come from the tape cache, shared with the rest of a
+/// `run_all`. No other section replays an s10 stream, so s10 runs
+/// stream straight into a counter instead of recording a tape.
+fn counts(spec: &Spec, size: Size, mode: Mode) -> CountingSink {
     let w = tape::workload(spec, size);
-    let jit = tape::recorded(&w, Mode::Jit);
-    let interp = tape::recorded(&w, Mode::Interp);
-    let translate_share = jit.counts.phase(Phase::Translate) as f64 / jit.counts.total() as f64;
-    (
-        translate_share,
-        interp.counts.total() as f64 / jit.counts.total() as f64,
-    )
+    if size != Size::S10 {
+        return tape::recorded(&w, mode).counts.clone();
+    }
+    let mut counts = CountingSink::new();
+    let result = run_mode(&w.program, mode, &mut counts);
+    w.check(&result);
+    counts
+}
+
+/// One benchmark × size job: translate share of the JIT run and the
+/// interpreter-to-JIT instruction ratio.
+fn run_point(spec: &Spec, size: Size) -> (f64, f64) {
+    let jit = counts(spec, size, Mode::Jit);
+    let interp = counts(spec, size, Mode::Interp);
+    let translate_share = jit.phase(Phase::Translate) as f64 / jit.total() as f64;
+    (translate_share, interp.total() as f64 / jit.total() as f64)
 }
 
 /// Runs the size sweep on three representative benchmarks

@@ -48,9 +48,7 @@
 use crate::jobs::Workload;
 use crate::runner::Mode;
 use jrt_bytecode::Program;
-use jrt_trace::{
-    AccessBlock, AccessBlocks, CountingSink, DiskTape, FanoutSink, Tape, TapeRecorder, TraceSink,
-};
+use jrt_trace::{AccessBlock, AccessBlocks, CountingSink, DiskTape, Tape, TapeRecorder, TraceSink};
 use jrt_vm::{OracleDecisions, RunResult, Vm, VmConfig};
 use jrt_workloads::{Size, Spec};
 use std::collections::HashMap;
@@ -140,15 +138,12 @@ fn record(w: &Workload, mode: Mode, folding: bool, ir: bool) -> Arc<TapeEntry> {
         (Mode::Opt, true) => unreachable!("no IR variant of the opt oracle"),
     };
     let cfg = if folding { cfg.with_folding() } else { cfg };
-    let mut rec = TapeRecorder::new();
-    let mut counts = CountingSink::new();
-    let result = {
-        let mut fan = FanoutSink::new().with(&mut rec).with(&mut counts);
-        Vm::new(&w.program, cfg)
-            .run(&mut fan)
-            .expect("workload runs clean")
-    };
+    let mut sinks = (TapeRecorder::new(), CountingSink::new());
+    let result = Vm::new(&w.program, cfg)
+        .run(&mut sinks)
+        .expect("workload runs clean");
     w.check(&result);
+    let (rec, counts) = sinks;
     Arc::new(TapeEntry {
         tape: rec.into_tape(),
         result,

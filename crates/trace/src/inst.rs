@@ -271,6 +271,7 @@ pub struct NativeInst {
 
 impl NativeInst {
     /// Creates a bare instruction of the given class with no operands.
+    #[inline]
     pub fn new(pc: Addr, class: InstClass, phase: Phase) -> Self {
         NativeInst {
             pc,
@@ -285,11 +286,13 @@ impl NativeInst {
     }
 
     /// Creates an integer ALU instruction.
+    #[inline]
     pub fn alu(pc: Addr, phase: Phase) -> Self {
         Self::new(pc, InstClass::IntAlu, phase)
     }
 
     /// Creates a load of `size` bytes from `addr`.
+    #[inline]
     pub fn load(pc: Addr, addr: Addr, size: u8, phase: Phase) -> Self {
         let mut i = Self::new(pc, InstClass::Load, phase);
         i.mem = Some(MemRef {
@@ -301,6 +304,7 @@ impl NativeInst {
     }
 
     /// Creates a store of `size` bytes to `addr`.
+    #[inline]
     pub fn store(pc: Addr, addr: Addr, size: u8, phase: Phase) -> Self {
         let mut i = Self::new(pc, InstClass::Store, phase);
         i.mem = Some(MemRef {
@@ -312,6 +316,7 @@ impl NativeInst {
     }
 
     /// Creates a conditional branch with resolved direction and target.
+    #[inline]
     pub fn branch(pc: Addr, target: Addr, taken: bool, phase: Phase) -> Self {
         let mut i = Self::new(pc, InstClass::CondBranch, phase);
         i.ctrl = Some(CtrlInfo { target, taken });
@@ -319,6 +324,7 @@ impl NativeInst {
     }
 
     /// Creates an unconditional direct jump.
+    #[inline]
     pub fn jump(pc: Addr, target: Addr, phase: Phase) -> Self {
         let mut i = Self::new(pc, InstClass::Jump, phase);
         i.ctrl = Some(CtrlInfo {
@@ -329,6 +335,7 @@ impl NativeInst {
     }
 
     /// Creates a register-indirect jump (e.g. interpreter dispatch).
+    #[inline]
     pub fn indirect_jump(pc: Addr, target: Addr, phase: Phase) -> Self {
         let mut i = Self::new(pc, InstClass::IndirectJump, phase);
         i.ctrl = Some(CtrlInfo {
@@ -339,6 +346,7 @@ impl NativeInst {
     }
 
     /// Creates a direct call.
+    #[inline]
     pub fn call(pc: Addr, target: Addr, phase: Phase) -> Self {
         let mut i = Self::new(pc, InstClass::Call, phase);
         i.ctrl = Some(CtrlInfo {
@@ -349,6 +357,7 @@ impl NativeInst {
     }
 
     /// Creates a register-indirect call (virtual dispatch).
+    #[inline]
     pub fn indirect_call(pc: Addr, target: Addr, phase: Phase) -> Self {
         let mut i = Self::new(pc, InstClass::IndirectCall, phase);
         i.ctrl = Some(CtrlInfo {
@@ -359,6 +368,7 @@ impl NativeInst {
     }
 
     /// Creates a return to `target`.
+    #[inline]
     pub fn ret(pc: Addr, target: Addr, phase: Phase) -> Self {
         let mut i = Self::new(pc, InstClass::Ret, phase);
         i.ctrl = Some(CtrlInfo {
@@ -369,12 +379,14 @@ impl NativeInst {
     }
 
     /// Sets the destination register (builder style).
+    #[inline]
     pub fn with_dst(mut self, r: Reg) -> Self {
         self.dst = Some(r % NUM_REGS as Reg);
         self
     }
 
     /// Sets one or two source registers (builder style).
+    #[inline]
     pub fn with_srcs(mut self, a: Reg, b: Option<Reg>) -> Self {
         self.src1 = Some(a % NUM_REGS as Reg);
         self.src2 = b.map(|r| r % NUM_REGS as Reg);

@@ -56,7 +56,7 @@ pub use sink::{
     merge_shards, CountingSink, MergeSink, NullSink, PhaseFilter, RecordingSink, TraceSink,
 };
 pub use store::{DiskTape, StoreError};
-pub use tape::{content_hash, FanoutSink, Segment, Tape, TapeRecorder, SEGMENT_EVENTS};
+pub use tape::{content_hash, Segment, Tape, TapeRecorder, SEGMENT_EVENTS};
 
 /// A simulated memory address.
 ///

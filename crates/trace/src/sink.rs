@@ -31,6 +31,7 @@ pub trait TraceSink {
 }
 
 impl<T: TraceSink + ?Sized> TraceSink for &mut T {
+    #[inline]
     fn accept(&mut self, inst: &NativeInst) {
         (**self).accept(inst);
     }
@@ -72,6 +73,7 @@ pub fn merge_shards<S: MergeSink>(shards: impl IntoIterator<Item = S>) -> Option
 pub struct NullSink;
 
 impl TraceSink for NullSink {
+    #[inline]
     fn accept(&mut self, _inst: &NativeInst) {}
 }
 
@@ -82,6 +84,7 @@ impl MergeSink for NullSink {
 macro_rules! tuple_sink {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: TraceSink),+> TraceSink for ($($name,)+) {
+            #[inline]
             fn accept(&mut self, inst: &NativeInst) {
                 $(self.$idx.accept(inst);)+
             }
@@ -166,17 +169,19 @@ impl MergeSink for CountingSink {
 }
 
 impl TraceSink for CountingSink {
+    #[inline]
     fn accept(&mut self, inst: &NativeInst) {
         self.total += 1;
         self.per_phase[phase_index(inst.phase)] += 1;
     }
 }
 
+/// Index of `phase` in [`Phase::ALL`]: its discriminant, because
+/// `ALL` lists the phases in declaration order (the tape encoder
+/// relies on the same identity).
+#[inline]
 pub(crate) fn phase_index(phase: Phase) -> usize {
-    Phase::ALL
-        .iter()
-        .position(|&p| p == phase)
-        .expect("phase present in Phase::ALL")
+    phase as usize
 }
 
 /// Records every event into a vector. Only for tests and small traces.

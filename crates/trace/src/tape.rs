@@ -7,8 +7,8 @@
 //! analog: a [`TapeRecorder`] is a [`TraceSink`] that packs the event
 //! stream into a compact in-memory [`Tape`], and [`Tape::replay`]
 //! regenerates the exact [`NativeInst`] sequence for any number of
-//! downstream consumers — combined, if desired, through a
-//! [`FanoutSink`] so one pass feeds N simulators.
+//! downstream consumers — combined, if desired, through a sink tuple
+//! so one pass feeds N simulators.
 //!
 //! # Encoding
 //!
@@ -86,18 +86,6 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_varint(bytes: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            bytes.push(b);
-            return;
-        }
-        bytes.push(b | 0x80);
-    }
-}
-
 fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -112,10 +100,6 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     }
 }
 
-fn put_delta(bytes: &mut Vec<u8>, prev: u64, now: u64) {
-    put_varint(bytes, zigzag(now.wrapping_sub(prev) as i64));
-}
-
 fn get_delta(bytes: &[u8], pos: &mut usize, prev: u64) -> u64 {
     prev.wrapping_add(unzigzag(get_varint(bytes, pos)) as u64)
 }
@@ -127,18 +111,30 @@ fn get_delta(bytes: &[u8], pos: &mut usize, prev: u64) -> u64 {
 /// delta-restart overhead stay negligible.
 pub const SEGMENT_EVENTS: u64 = 4 * crate::blocks::BLOCK_EVENTS as u64;
 
-/// FNV-1a over `bytes`, finished with the SplitMix64 finalizer —
-/// the content hash stored in every [`Segment`] footer and validated
-/// by the on-disk store before decoding.
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a state `h`.
+#[inline(always)]
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
+    h
+}
+
+/// The SplitMix64 finalizer applied to a finished FNV-1a state.
+fn finalize(h: u64) -> u64 {
     let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// FNV-1a over `bytes`, finished with the SplitMix64 finalizer —
+/// the content hash stored in every [`Segment`] footer and validated
+/// by the on-disk store before decoding.
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    finalize(fnv1a(FNV_OFFSET, bytes))
 }
 
 /// One independently-decodable chunk of a tape: the footer the
@@ -381,17 +377,37 @@ impl Tape {
 
 /// A [`TraceSink`] that packs every observed event onto a [`Tape`].
 ///
-/// Attach it to an execution (optionally alongside other sinks via a
-/// [`FanoutSink`] or sink tuple), then call [`TapeRecorder::into_tape`].
-#[derive(Debug, Clone, Default)]
+/// Attach it to an execution (optionally alongside other sinks in a
+/// sink tuple), then call [`TapeRecorder::into_tape`].
+#[derive(Debug, Clone)]
 pub struct TapeRecorder {
     tape: Tape,
+    /// Packed length; `tape.bytes` runs up to a chunk past it, so
+    /// each event writes into already-initialized bytes.
+    packed: usize,
     prev_pc: u64,
     prev_mem: u64,
     /// Byte offset where the open segment starts.
     seg_start: usize,
     /// Events recorded into the open segment so far.
     seg_events: u64,
+    /// FNV-1a state over the open segment's bytes, folded in as each
+    /// event is packed.
+    seg_fnv: u64,
+}
+
+impl Default for TapeRecorder {
+    fn default() -> Self {
+        TapeRecorder {
+            tape: Tape::default(),
+            packed: 0,
+            prev_pc: 0,
+            prev_mem: 0,
+            seg_start: 0,
+            seg_events: 0,
+            seg_fnv: FNV_OFFSET,
+        }
+    }
 }
 
 impl TapeRecorder {
@@ -402,22 +418,32 @@ impl TapeRecorder {
 
     /// Closes the open segment: writes its footer and restarts the
     /// delta state so the next segment decodes independently.
+    #[cold]
+    #[inline(never)]
     fn close_segment(&mut self) {
-        let bytes = &self.tape.bytes[self.seg_start..];
         self.tape.segments.push(Segment {
             byte_off: self.seg_start as u64,
-            byte_len: bytes.len() as u64,
+            byte_len: (self.packed - self.seg_start) as u64,
             events: self.seg_events,
             base_pc: 0,
             base_addr: 0,
             last_pc: self.prev_pc,
             last_addr: self.prev_mem,
-            hash: content_hash(bytes),
+            hash: finalize(self.seg_fnv),
         });
-        self.seg_start = self.tape.bytes.len();
+        self.seg_start = self.packed;
         self.seg_events = 0;
+        self.seg_fnv = FNV_OFFSET;
         self.prev_pc = 0;
         self.prev_mem = 0;
+    }
+
+    /// Zero-extends the byte buffer by a chunk (the buffer itself
+    /// grows geometrically) so the next event has room.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        self.tape.bytes.resize(self.packed + 4096, 0);
     }
 
     /// Finishes recording and returns the packed tape.
@@ -425,6 +451,7 @@ impl TapeRecorder {
         if self.seg_events > 0 {
             self.close_segment();
         }
+        self.tape.bytes.truncate(self.packed);
         self.tape
     }
 
@@ -439,138 +466,77 @@ impl TapeRecorder {
     }
 }
 
+/// Upper bound on one event's packed size: the two header bytes, three
+/// varints of at most ten bytes (pc, memory address, control target),
+/// the access-size byte and three register bytes.
+const MAX_EVENT_BYTES: usize = 2 + 10 + 10 + 1 + 10 + 3;
+
+/// Writes `v` as a varint into `out` at `at`; returns the end offset.
+#[inline(always)]
+fn put_varint_at(out: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[at] = (v as u8) | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    out[at] = v as u8;
+    at + 1
+}
+
 impl TraceSink for TapeRecorder {
+    /// Packs one event. Inlined into monomorphic emitters, the
+    /// `Option` tests below fold to constants at each emission site;
+    /// the event is written in place and folded into the segment hash
+    /// while its bytes are still in registers.
+    #[inline(always)]
     fn accept(&mut self, inst: &NativeInst) {
         if self.seg_events == SEGMENT_EVENTS {
             self.close_segment();
         }
-        let bytes = &mut self.tape.bytes;
-        let class_idx = InstClass::ALL
-            .iter()
-            .position(|&c| c == inst.class)
-            .expect("class present in InstClass::ALL") as u8;
-        let phase_idx = Phase::ALL
-            .iter()
-            .position(|&p| p == inst.phase)
-            .expect("phase present in Phase::ALL") as u8;
-
-        let mut flags = 0u8;
-        let pc_seq = inst.pc == self.prev_pc.wrapping_add(SEQ_STEP);
-        if pc_seq {
-            flags |= F_PC_SEQ;
+        if self.tape.bytes.len() < self.packed + MAX_EVENT_BYTES {
+            self.grow();
         }
+        let out = &mut self.tape.bytes[self.packed..self.packed + MAX_EVENT_BYTES];
+        // `ALL` lists both enums in declaration order, so the
+        // discriminant is the index the decoder looks up.
+        out[0] = inst.class as u8 | ((inst.phase as u8) << 4);
+        let mut flags = 0u8;
+        let mut n = 2;
+        if inst.pc == self.prev_pc.wrapping_add(SEQ_STEP) {
+            flags |= F_PC_SEQ;
+        } else {
+            n = put_varint_at(out, n, zigzag(inst.pc.wrapping_sub(self.prev_pc) as i64));
+        }
+        self.prev_pc = inst.pc;
         if let Some(m) = inst.mem {
             flags |= F_MEM;
             if m.kind == AccessKind::Write {
                 flags |= F_MEM_WRITE;
             }
+            n = put_varint_at(out, n, zigzag(m.addr.wrapping_sub(self.prev_mem) as i64));
+            self.prev_mem = m.addr;
+            out[n] = m.size;
+            n += 1;
         }
         if let Some(c) = inst.ctrl {
             flags |= F_CTRL;
             if c.taken {
                 flags |= F_TAKEN;
             }
+            n = put_varint_at(out, n, zigzag(c.target.wrapping_sub(inst.pc) as i64));
         }
-        if inst.dst.is_some() {
-            flags |= F_DST;
+        for (reg, flag) in [(inst.dst, F_DST), (inst.src1, F_SRC1), (inst.src2, F_SRC2)] {
+            if let Some(r) = reg {
+                flags |= flag;
+                out[n] = r;
+                n += 1;
+            }
         }
-        if inst.src1.is_some() {
-            flags |= F_SRC1;
-        }
-        if inst.src2.is_some() {
-            flags |= F_SRC2;
-        }
-
-        bytes.push(class_idx | (phase_idx << 4));
-        bytes.push(flags);
-        if !pc_seq {
-            put_delta(bytes, self.prev_pc, inst.pc);
-        }
-        self.prev_pc = inst.pc;
-        if let Some(m) = inst.mem {
-            put_delta(bytes, self.prev_mem, m.addr);
-            self.prev_mem = m.addr;
-            bytes.push(m.size);
-        }
-        if let Some(c) = inst.ctrl {
-            put_delta(bytes, inst.pc, c.target);
-        }
-        for reg in [inst.dst, inst.src1, inst.src2].into_iter().flatten() {
-            bytes.push(reg);
-        }
+        out[1] = flags;
+        self.seg_fnv = fnv1a(self.seg_fnv, &out[..n]);
+        self.packed += n;
         self.tape.events += 1;
         self.seg_events += 1;
-    }
-}
-
-/// Heterogeneous fan-out: broadcasts one trace pass to N borrowed
-/// consumers of *different* concrete types.
-///
-/// The tuple sink impls cover small fixed combinations and `Vec<S>`
-/// covers homogeneous sweeps; `FanoutSink` is the dynamic counterpart
-/// used when the consumer set is assembled at run time — e.g. a
-/// [`TapeRecorder`] plus a [`CountingSink`] watching the same
-/// recording pass.
-///
-/// [`CountingSink`]: crate::CountingSink
-///
-/// # Examples
-///
-/// ```
-/// use jrt_trace::{CountingSink, FanoutSink, InstMix, NativeInst, Phase, TraceSink};
-///
-/// let mut counts = CountingSink::new();
-/// let mut mix = InstMix::new();
-/// let mut fan = FanoutSink::new().with(&mut counts).with(&mut mix);
-/// fan.accept(&NativeInst::alu(0, Phase::Runtime));
-/// fan.finish();
-/// drop(fan);
-/// assert_eq!(counts.total(), 1);
-/// assert_eq!(mix.total(), 1);
-/// ```
-#[derive(Default)]
-pub struct FanoutSink<'a> {
-    sinks: Vec<&'a mut dyn TraceSink>,
-}
-
-impl<'a> FanoutSink<'a> {
-    /// Creates an empty fan-out.
-    pub fn new() -> Self {
-        FanoutSink { sinks: Vec::new() }
-    }
-
-    /// Adds a consumer (builder style).
-    pub fn with(mut self, sink: &'a mut (impl TraceSink + 'a)) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Adds a consumer.
-    pub fn push(&mut self, sink: &'a mut (impl TraceSink + 'a)) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of attached consumers.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether no consumer is attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl TraceSink for FanoutSink<'_> {
-    fn accept(&mut self, inst: &NativeInst) {
-        for s in self.sinks.iter_mut() {
-            s.accept(inst);
-        }
-    }
-    fn finish(&mut self) {
-        for s in self.sinks.iter_mut() {
-            s.finish();
-        }
     }
 }
 
@@ -597,17 +563,14 @@ mod tests {
 
     #[test]
     fn enum_discriminants_match_all_order() {
-        // The encoding relies on `ALL` being in declaration order so
-        // that `ALL[idx]` inverts the recorded index.
+        // The encoder writes each enum's discriminant and the decoder
+        // reads `ALL[idx]`, so `ALL` must list the variants in
+        // declaration order.
         for (k, c) in InstClass::ALL.iter().enumerate() {
-            assert_eq!(
-                InstClass::ALL.iter().position(|x| x == c).unwrap(),
-                k,
-                "duplicate entry in InstClass::ALL"
-            );
+            assert_eq!(*c as usize, k, "InstClass::ALL out of declaration order");
         }
         for (k, p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(Phase::ALL.iter().position(|x| x == p).unwrap(), k);
+            assert_eq!(*p as usize, k, "Phase::ALL out of declaration order");
         }
         assert!(InstClass::ALL.len() <= 16, "class index must fit a nibble");
         assert!(Phase::ALL.len() <= 16, "phase index must fit a nibble");
@@ -676,28 +639,12 @@ mod tests {
             i64::MIN,
             0x7fff_ffff_ffff,
         ] {
-            let mut bytes = Vec::new();
-            put_varint(&mut bytes, zigzag(v));
+            let mut buf = [0u8; MAX_EVENT_BYTES];
+            let end = put_varint_at(&mut buf[..], 0, zigzag(v));
             let mut pos = 0;
-            assert_eq!(unzigzag(get_varint(&bytes, &mut pos)), v);
-            assert_eq!(pos, bytes.len());
+            assert_eq!(unzigzag(get_varint(&buf, &mut pos)), v);
+            assert_eq!(pos, end);
         }
-    }
-
-    #[test]
-    fn fanout_broadcasts_and_finishes() {
-        let mut a = CountingSink::new();
-        let mut b = RecordingSink::new();
-        {
-            let mut fan = FanoutSink::new().with(&mut a).with(&mut b);
-            assert_eq!(fan.len(), 2);
-            assert!(!fan.is_empty());
-            fan.accept(&NativeInst::alu(0, Phase::Runtime));
-            fan.accept(&NativeInst::alu(4, Phase::Runtime));
-            fan.finish();
-        }
-        assert_eq!(a.total(), 2);
-        assert_eq!(b.len(), 2);
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub(crate) fn handler_addr(opcode: u8) -> Addr {
 /// replicate the `switch` back-edge into each case arm, which is what
 /// lets the BTB learn per-opcode successor correlations instead of
 /// thrashing on a single jump site.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct InterpEmitter {
     /// Bytecode base address of the current method (class area).
     code_addr: Addr,
@@ -111,12 +112,12 @@ impl InterpEmitter {
         pc
     }
 
-    fn emit(&mut self, sink: &mut dyn TraceSink, inst: NativeInst) {
+    fn emit(&mut self, sink: &mut impl TraceSink, inst: NativeInst) {
         sink.accept(&inst);
         self.count += 1;
     }
 
-    fn handler_load(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn handler_load(&mut self, sink: &mut impl TraceSink, addr: Addr, size: u8) {
         let pc = self.step_pc();
         let dst = self.reg();
         self.emit(
@@ -125,7 +126,7 @@ impl InterpEmitter {
         );
     }
 
-    fn handler_store(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn handler_store(&mut self, sink: &mut impl TraceSink, addr: Addr, size: u8) {
         let pc = self.step_pc();
         let src = self.last_dst;
         self.emit(
@@ -140,7 +141,7 @@ impl Emit for InterpEmitter {
         self.count
     }
 
-    fn begin(&mut self, sink: &mut dyn TraceSink) {
+    fn begin(&mut self, sink: &mut impl TraceSink) {
         if self.folded {
             // Folded: the previous dispatch already selected a fused
             // handler; only the opcode byte is consumed (one load),
@@ -225,7 +226,7 @@ impl Emit for InterpEmitter {
         self.emit(sink, NativeInst::alu(pc4, Phase::InterpHandler).with_dst(5));
     }
 
-    fn operand_fetch(&mut self, sink: &mut dyn TraceSink, n: u32) {
+    fn operand_fetch(&mut self, sink: &mut impl TraceSink, n: u32) {
         // Immediates come from the bytecode stream: more data loads.
         for k in 0..n.div_ceil(4) {
             let addr = self.code_addr + Addr::from(self.pc) + 1 + Addr::from(k * 4);
@@ -233,31 +234,31 @@ impl Emit for InterpEmitter {
         }
     }
 
-    fn stack_pop(&mut self, sink: &mut dyn TraceSink, addr: Addr) {
+    fn stack_pop(&mut self, sink: &mut impl TraceSink, addr: Addr) {
         self.handler_load(sink, addr, 4);
     }
 
-    fn stack_push(&mut self, sink: &mut dyn TraceSink, addr: Addr) {
+    fn stack_push(&mut self, sink: &mut impl TraceSink, addr: Addr) {
         self.handler_store(sink, addr, 4);
     }
 
-    fn local_read(&mut self, sink: &mut dyn TraceSink, _n: usize, addr: Addr) {
+    fn local_read(&mut self, sink: &mut impl TraceSink, _n: usize, addr: Addr) {
         self.handler_load(sink, addr, 4);
     }
 
-    fn local_write(&mut self, sink: &mut dyn TraceSink, _n: usize, addr: Addr) {
+    fn local_write(&mut self, sink: &mut impl TraceSink, _n: usize, addr: Addr) {
         self.handler_store(sink, addr, 4);
     }
 
-    fn heap_load(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_load(&mut self, sink: &mut impl TraceSink, addr: Addr, size: u8) {
         self.handler_load(sink, addr, size);
     }
 
-    fn heap_store(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8) {
+    fn heap_store(&mut self, sink: &mut impl TraceSink, addr: Addr, size: u8) {
         self.handler_store(sink, addr, size);
     }
 
-    fn ref_store_barrier(&mut self, sink: &mut dyn TraceSink, card: Addr) -> u64 {
+    fn ref_store_barrier(&mut self, sink: &mut impl TraceSink, card: Addr) -> u64 {
         // Address-to-card shift, then the unconditional dirty-byte
         // store (the classic two-instruction card barrier).
         let pc = self.step_pc();
@@ -276,7 +277,7 @@ impl Emit for InterpEmitter {
         2
     }
 
-    fn alu(&mut self, sink: &mut dyn TraceSink, class: InstClass) {
+    fn alu(&mut self, sink: &mut impl TraceSink, class: InstClass) {
         let pc = self.step_pc();
         let (s1, s2) = (self.last_dst, self.next_reg);
         let dst = self.reg();
@@ -288,7 +289,7 @@ impl Emit for InterpEmitter {
         );
     }
 
-    fn null_check(&mut self, sink: &mut dyn TraceSink) {
+    fn null_check(&mut self, sink: &mut impl TraceSink) {
         let pc = self.step_pc();
         let src = self.last_dst;
         self.emit(
@@ -297,7 +298,7 @@ impl Emit for InterpEmitter {
         );
     }
 
-    fn bounds_check(&mut self, sink: &mut dyn TraceSink) {
+    fn bounds_check(&mut self, sink: &mut impl TraceSink) {
         self.alu(sink, InstClass::IntAlu);
         let pc = self.step_pc();
         let src = self.last_dst;
@@ -307,7 +308,7 @@ impl Emit for InterpEmitter {
         );
     }
 
-    fn cond_branch(&mut self, sink: &mut dyn TraceSink, taken: bool, _bc_target: u32) {
+    fn cond_branch(&mut self, sink: &mut impl TraceSink, taken: bool, _target: Addr) {
         // The handler's native branch direction mirrors the bytecode
         // branch: `if (cond) vpc = target; else vpc += len`.
         self.alu(sink, InstClass::IntAlu);
@@ -321,11 +322,11 @@ impl Emit for InterpEmitter {
         self.alu(sink, InstClass::IntAlu);
     }
 
-    fn goto_(&mut self, sink: &mut dyn TraceSink, _bc_target: u32) {
+    fn goto_(&mut self, sink: &mut impl TraceSink, _target: Addr) {
         self.alu(sink, InstClass::IntAlu); // vpc = target
     }
 
-    fn switch(&mut self, sink: &mut dyn TraceSink, _bc_target: u32, _ncases: usize) {
+    fn switch(&mut self, sink: &mut impl TraceSink, _target: Addr) {
         // Bounds test + table read from the bytecode stream + vpc
         // update; the actual transfer is the next dispatch.
         self.alu(sink, InstClass::IntAlu);
@@ -340,7 +341,7 @@ impl Emit for InterpEmitter {
         self.alu(sink, InstClass::IntAlu);
     }
 
-    fn invoke(&mut self, sink: &mut dyn TraceSink, _kind: InvokeKind, entry: Addr) -> Addr {
+    fn invoke(&mut self, sink: &mut impl TraceSink, _kind: InvokeKind, entry: Addr) -> Addr {
         // Method-block lookup (always through pointers in an
         // interpreter, regardless of the bytecode's invoke kind).
         let mb = layout::VM_DATA_BASE + (entry % 0x8000);
@@ -357,7 +358,7 @@ impl Emit for InterpEmitter {
         ret_to
     }
 
-    fn ret(&mut self, sink: &mut dyn TraceSink, ret_to: Addr) {
+    fn ret(&mut self, sink: &mut impl TraceSink, ret_to: Addr) {
         // Restore caller frame pointers, then return.
         let fp = layout::VM_DATA_BASE + 0x100;
         self.handler_load(sink, fp, 4);
@@ -366,37 +367,15 @@ impl Emit for InterpEmitter {
         self.emit(sink, NativeInst::ret(pc, ret_to, Phase::InterpHandler));
     }
 
-    fn frame_setup(&mut self, sink: &mut dyn TraceSink, nlocals: usize, locals_addr: Addr) {
-        let mut pc = RUNTIME_BASE;
-        let mut emit = |i: NativeInst, count: &mut u64| {
-            sink.accept(&i);
-            *count += 1;
-        };
-        for k in 0..3 {
-            emit(
-                NativeInst::alu(pc, Phase::Runtime).with_dst(16 + k),
-                &mut self.count,
-            );
-            pc += 4;
-        }
-        for n in 0..nlocals.min(32) {
-            emit(
-                NativeInst::store(pc, locals_addr + 4 * n as u64, 4, Phase::Runtime),
-                &mut self.count,
-            );
-            pc += 4;
-        }
-        emit(
-            NativeInst::store(pc, layout::VM_DATA_BASE + 0x100, 4, Phase::Runtime),
-            &mut self.count,
-        );
+    fn frame_setup(&mut self, sink: &mut impl TraceSink, nlocals: usize, locals_addr: Addr) {
+        self.count += emit_frame_setup(sink, nlocals, locals_addr);
     }
 
-    fn sync_op(&mut self, sink: &mut dyn TraceSink, cost: LockCost, lock_addr: Addr) {
+    fn sync_op(&mut self, sink: &mut impl TraceSink, cost: LockCost, lock_addr: Addr) {
         emit_sync(sink, cost, lock_addr, &mut self.count);
     }
 
-    fn alloc(&mut self, sink: &mut dyn TraceSink, addr: Addr, bytes: u32) {
+    fn alloc(&mut self, sink: &mut impl TraceSink, addr: Addr, bytes: u32) {
         emit_alloc(sink, addr, bytes, &mut self.count);
     }
 }
@@ -404,7 +383,7 @@ impl Emit for InterpEmitter {
 /// Shared monitor-path emission (same VM runtime code for both
 /// engines).
 pub(crate) fn emit_sync(
-    sink: &mut dyn TraceSink,
+    sink: &mut impl TraceSink,
     cost: LockCost,
     lock_addr: Addr,
     count: &mut u64,
@@ -443,45 +422,60 @@ pub(crate) fn emit_sync(
 }
 
 /// Shared allocation-path emission.
-pub(crate) fn emit_alloc(sink: &mut dyn TraceSink, addr: Addr, bytes: u32, count: &mut u64) {
-    let mut pc = RUNTIME_BASE + 0x400;
-    let emit_one = |sink: &mut dyn TraceSink, i: NativeInst, count: &mut u64| {
-        sink.accept(&i);
-        *count += 1;
-    };
+pub(crate) fn emit_alloc(sink: &mut impl TraceSink, addr: Addr, bytes: u32, count: &mut u64) {
+    let pc = RUNTIME_BASE + 0x400;
     // Bump-pointer arithmetic.
-    emit_one(
-        sink,
-        NativeInst::alu(pc, Phase::Runtime).with_dst(22),
-        count,
-    );
-    pc += 4;
-    emit_one(
-        sink,
-        NativeInst::alu(pc, Phase::Runtime)
+    sink.accept(&NativeInst::alu(pc, Phase::Runtime).with_dst(22));
+    sink.accept(
+        &NativeInst::alu(pc + 4, Phase::Runtime)
             .with_dst(23)
             .with_srcs(22, None),
-        count,
     );
-    pc += 4;
     // Header stores + zeroing (capped; large arrays use block zeroing).
-    emit_one(sink, NativeInst::store(pc, addr, 4, Phase::Runtime), count);
-    pc += 4;
-    emit_one(
-        sink,
-        NativeInst::store(pc, addr + 4, 4, Phase::Runtime),
-        count,
-    );
-    pc += 4;
+    sink.accept(&NativeInst::store(pc + 8, addr, 4, Phase::Runtime));
+    sink.accept(&NativeInst::store(pc + 12, addr + 4, 4, Phase::Runtime));
     let zero_stores = (bytes / 8).min(64);
     for k in 0..zero_stores {
-        emit_one(
-            sink,
-            NativeInst::store(pc, addr + 8 + Addr::from(k) * 8, 8, Phase::Runtime),
-            count,
-        );
+        sink.accept(&NativeInst::store(
+            pc + 16 + Addr::from(k) * 4,
+            addr + 8 + Addr::from(k) * 8,
+            8,
+            Phase::Runtime,
+        ));
+    }
+    *count += 4 + u64::from(zero_stores);
+}
+
+/// The interpreters' frame-setup helper (VM runtime code: locals are
+/// memory in both interpreted tiers); returns the instructions
+/// emitted.
+pub(crate) fn emit_frame_setup(
+    sink: &mut impl TraceSink,
+    nlocals: usize,
+    locals_addr: Addr,
+) -> u64 {
+    let mut pc = RUNTIME_BASE;
+    for k in 0..3 {
+        sink.accept(&NativeInst::alu(pc, Phase::Runtime).with_dst(16 + k));
         pc += 4;
     }
+    let stores = nlocals.min(32);
+    for n in 0..stores {
+        sink.accept(&NativeInst::store(
+            pc,
+            locals_addr + 4 * n as u64,
+            4,
+            Phase::Runtime,
+        ));
+        pc += 4;
+    }
+    sink.accept(&NativeInst::store(
+        pc,
+        layout::VM_DATA_BASE + 0x100,
+        4,
+        Phase::Runtime,
+    ));
+    4 + stores as u64
 }
 
 #[cfg(test)]
@@ -554,7 +548,7 @@ mod tests {
         for taken in [true, false] {
             let mut r = RecordingSink::new();
             let mut e = InterpEmitter::new(layout::CLASS_AREA_BASE, 0, 24, 0, layout::STACK_BASE);
-            e.cond_branch(&mut r, taken, 99);
+            e.cond_branch(&mut r, taken, 0);
             let br = r
                 .events
                 .iter()

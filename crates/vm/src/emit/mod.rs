@@ -46,36 +46,38 @@ pub(crate) enum InvokeKind {
 }
 
 /// Emission interface shared by the engines. One emitter instance
-/// lives for the duration of a single bytecode.
+/// lives for the duration of a single bytecode. Every method is
+/// generic over the sink, so the step loop, the emitter and the
+/// sink's `accept` compile into one monomorphic body per sink type.
 pub(crate) trait Emit {
     /// Instructions emitted so far by this emitter.
     fn count(&self) -> u64;
 
     /// Per-bytecode prologue (interpreter dispatch; nothing for JIT).
-    fn begin(&mut self, sink: &mut dyn TraceSink);
+    fn begin(&mut self, sink: &mut impl TraceSink);
 
     /// Fetch `n` bytes of instruction operands from the bytecode
     /// stream (interpreter only — translated code has immediates
     /// inline).
-    fn operand_fetch(&mut self, sink: &mut dyn TraceSink, n: u32);
+    fn operand_fetch(&mut self, sink: &mut impl TraceSink, n: u32);
 
     /// Pop one operand-stack slot whose simulated address is `addr`.
-    fn stack_pop(&mut self, sink: &mut dyn TraceSink, addr: Addr);
+    fn stack_pop(&mut self, sink: &mut impl TraceSink, addr: Addr);
 
     /// Push one operand-stack slot.
-    fn stack_push(&mut self, sink: &mut dyn TraceSink, addr: Addr);
+    fn stack_push(&mut self, sink: &mut impl TraceSink, addr: Addr);
 
     /// Read local `n`.
-    fn local_read(&mut self, sink: &mut dyn TraceSink, n: usize, addr: Addr);
+    fn local_read(&mut self, sink: &mut impl TraceSink, n: usize, addr: Addr);
 
     /// Write local `n`.
-    fn local_write(&mut self, sink: &mut dyn TraceSink, n: usize, addr: Addr);
+    fn local_write(&mut self, sink: &mut impl TraceSink, n: usize, addr: Addr);
 
     /// A data load from the heap/class/VM-data areas.
-    fn heap_load(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8);
+    fn heap_load(&mut self, sink: &mut impl TraceSink, addr: Addr, size: u8);
 
     /// A data store.
-    fn heap_store(&mut self, sink: &mut dyn TraceSink, addr: Addr, size: u8);
+    fn heap_store(&mut self, sink: &mut impl TraceSink, addr: Addr, size: u8);
 
     /// Card-marking write barrier following a reference store: the
     /// address-to-card shift and the one-byte dirty store to `card`,
@@ -83,42 +85,111 @@ pub(crate) trait Emit {
     /// the number of instructions emitted, so the VM's
     /// `gc_barrier_insts` counter matches the trace exactly (the IR
     /// tier emits nothing at elided pcs).
-    fn ref_store_barrier(&mut self, sink: &mut dyn TraceSink, card: Addr) -> u64;
+    fn ref_store_barrier(&mut self, sink: &mut impl TraceSink, card: Addr) -> u64;
 
     /// An arithmetic operation of the given class.
-    fn alu(&mut self, sink: &mut dyn TraceSink, class: InstClass);
+    fn alu(&mut self, sink: &mut impl TraceSink, class: InstClass);
 
     /// A (never-taken) null-pointer check.
-    fn null_check(&mut self, sink: &mut dyn TraceSink);
+    fn null_check(&mut self, sink: &mut impl TraceSink);
 
     /// A (never-taken) array-bounds check.
-    fn bounds_check(&mut self, sink: &mut dyn TraceSink);
+    fn bounds_check(&mut self, sink: &mut impl TraceSink);
 
-    /// A bytecode conditional branch resolved with direction `taken`.
-    fn cond_branch(&mut self, sink: &mut dyn TraceSink, taken: bool, bc_target: u32);
+    /// A bytecode conditional branch resolved with direction `taken`;
+    /// `target` is the native address of the bytecode target in
+    /// translated code (unused by the interpreters).
+    fn cond_branch(&mut self, sink: &mut impl TraceSink, taken: bool, target: Addr);
 
-    /// A bytecode `goto`.
-    fn goto_(&mut self, sink: &mut dyn TraceSink, bc_target: u32);
+    /// A bytecode `goto` to native `target` (as for `cond_branch`).
+    fn goto_(&mut self, sink: &mut impl TraceSink, target: Addr);
 
-    /// A `tableswitch` landing on `bc_target`.
-    fn switch(&mut self, sink: &mut dyn TraceSink, bc_target: u32, ncases: usize);
+    /// A `tableswitch` landing on native `target` (as for
+    /// `cond_branch`).
+    fn switch(&mut self, sink: &mut impl TraceSink, target: Addr);
 
     /// A method invocation to native entry `entry`; returns the
     /// native return address the callee should return to.
-    fn invoke(&mut self, sink: &mut dyn TraceSink, kind: InvokeKind, entry: Addr) -> Addr;
+    fn invoke(&mut self, sink: &mut impl TraceSink, kind: InvokeKind, entry: Addr) -> Addr;
 
     /// A method return to `ret_to`.
-    fn ret(&mut self, sink: &mut dyn TraceSink, ret_to: Addr);
+    fn ret(&mut self, sink: &mut impl TraceSink, ret_to: Addr);
 
     /// Callee frame setup (locals zeroing, bookkeeping) — VM runtime
     /// work.
-    fn frame_setup(&mut self, sink: &mut dyn TraceSink, nlocals: usize, locals_addr: Addr);
+    fn frame_setup(&mut self, sink: &mut impl TraceSink, nlocals: usize, locals_addr: Addr);
 
     /// A monitor operation of the given modelled cost, touching the
     /// lock word / monitor-cache structures at `lock_addr`.
-    fn sync_op(&mut self, sink: &mut dyn TraceSink, cost: LockCost, lock_addr: Addr);
+    fn sync_op(&mut self, sink: &mut impl TraceSink, cost: LockCost, lock_addr: Addr);
 
     /// Object/array allocation of `bytes` at `addr` (header
     /// initialization and allocator bookkeeping).
-    fn alloc(&mut self, sink: &mut dyn TraceSink, addr: Addr, bytes: u32);
+    fn alloc(&mut self, sink: &mut impl TraceSink, addr: Addr, bytes: u32);
+}
+
+/// The emitter for one bytecode: whichever engine runs the current
+/// frame, held by value on the stack.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Emitter {
+    /// Stack interpreter.
+    Interp(InterpEmitter),
+    /// Translated code.
+    Jit(JitEmitter),
+    /// Register-IR interpreter.
+    IrInterp(IrInterpEmitter),
+    /// Code from the IR-backed translator.
+    IrJit(IrJitEmitter),
+}
+
+/// Forwards each [`Emit`] method to the active variant.
+macro_rules! forward {
+    ($( fn $name:ident(&mut self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?; )*) => {
+        $(
+            #[inline(always)]
+            fn $name(&mut self, sink: &mut impl TraceSink $(, $arg: $ty)*) $(-> $ret)? {
+                match self {
+                    Emitter::Interp(e) => e.$name(sink $(, $arg)*),
+                    Emitter::Jit(e) => e.$name(sink $(, $arg)*),
+                    Emitter::IrInterp(e) => e.$name(sink $(, $arg)*),
+                    Emitter::IrJit(e) => e.$name(sink $(, $arg)*),
+                }
+            }
+        )*
+    };
+}
+
+impl Emit for Emitter {
+    #[inline(always)]
+    fn count(&self) -> u64 {
+        match self {
+            Emitter::Interp(e) => e.count(),
+            Emitter::Jit(e) => e.count(),
+            Emitter::IrInterp(e) => e.count(),
+            Emitter::IrJit(e) => e.count(),
+        }
+    }
+
+    forward! {
+        fn begin(&mut self);
+        fn operand_fetch(&mut self, n: u32);
+        fn stack_pop(&mut self, addr: Addr);
+        fn stack_push(&mut self, addr: Addr);
+        fn local_read(&mut self, n: usize, addr: Addr);
+        fn local_write(&mut self, n: usize, addr: Addr);
+        fn heap_load(&mut self, addr: Addr, size: u8);
+        fn heap_store(&mut self, addr: Addr, size: u8);
+        fn ref_store_barrier(&mut self, card: Addr) -> u64;
+        fn alu(&mut self, class: InstClass);
+        fn null_check(&mut self);
+        fn bounds_check(&mut self);
+        fn cond_branch(&mut self, taken: bool, target: Addr);
+        fn goto_(&mut self, target: Addr);
+        fn switch(&mut self, target: Addr);
+        fn invoke(&mut self, kind: InvokeKind, entry: Addr) -> Addr;
+        fn ret(&mut self, ret_to: Addr);
+        fn frame_setup(&mut self, nlocals: usize, locals_addr: Addr);
+        fn sync_op(&mut self, cost: LockCost, lock_addr: Addr);
+        fn alloc(&mut self, addr: Addr, bytes: u32);
+    }
 }

@@ -63,15 +63,15 @@ pub(crate) struct GcResult {
 }
 
 /// Capped [`Phase::Gc`] emission at a wrapping GC text pc.
-struct GcEmitter<'a> {
-    sink: &'a mut dyn TraceSink,
+struct GcEmitter<'a, S> {
+    sink: &'a mut S,
     pc: Addr,
     emitted: u64,
     truncated: bool,
 }
 
-impl<'a> GcEmitter<'a> {
-    fn new(sink: &'a mut dyn TraceSink) -> Self {
+impl<'a, S: TraceSink> GcEmitter<'a, S> {
+    fn new(sink: &'a mut S) -> Self {
         GcEmitter {
             sink,
             pc: GC_TEXT,
@@ -146,7 +146,7 @@ pub(crate) fn collect(
     heap: &mut Heap,
     threads: &[ThreadState],
     linker: &Linker,
-    sink: &mut dyn TraceSink,
+    sink: &mut impl TraceSink,
 ) -> GcResult {
     let mut em = GcEmitter::new(sink);
 
@@ -200,7 +200,7 @@ pub(crate) fn minor_collect(
     heap: &mut Heap,
     threads: &[ThreadState],
     linker: &Linker,
-    sink: &mut dyn TraceSink,
+    sink: &mut impl TraceSink,
 ) -> Result<GcResult, crate::heap::HeapError> {
     let mut em = GcEmitter::new(sink);
 
@@ -256,7 +256,7 @@ pub(crate) fn major_collect(
     heap: &mut Heap,
     threads: &[ThreadState],
     linker: &Linker,
-    sink: &mut dyn TraceSink,
+    sink: &mut impl TraceSink,
 ) -> GcResult {
     let mut em = GcEmitter::new(sink);
 
@@ -328,7 +328,7 @@ mod tests {
                 index: 0,
             },
             &def,
-            vec![Value::Ref(root)],
+            &[Value::Ref(root)],
         );
         t
     }

@@ -44,15 +44,39 @@ impl From<HeapError> for IntrinsicError {
 const IO_BUFFER: Addr = layout::VM_DATA_BASE + 0x20_0000;
 const NATIVE_TEXT: Addr = layout::VM_TEXT_BASE + 0x6_0000;
 
-/// Executes the intrinsic `class.name` with `args` (receiver excluded;
-/// all `Sys` intrinsics are static).
+/// A registered native method, resolved once per call site from the
+/// site's `class.name` reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Intrinsic {
+    PrintInt,
+    PrintChar,
+    ArrayCopy,
+    Spawn,
+    Join,
+}
+
+impl Intrinsic {
+    /// The intrinsic registered as `class.name`, if any.
+    pub(crate) fn lookup(class: &str, name: &str) -> Option<Intrinsic> {
+        match (class, name) {
+            ("Sys", "print_int") => Some(Intrinsic::PrintInt),
+            ("Sys", "print_char") => Some(Intrinsic::PrintChar),
+            ("Sys", "arraycopy") => Some(Intrinsic::ArrayCopy),
+            ("Sys", "spawn") => Some(Intrinsic::Spawn),
+            ("Sys", "join") => Some(Intrinsic::Join),
+            _ => None,
+        }
+    }
+}
+
+/// Executes intrinsic `which` with `args` (receiver excluded; all
+/// `Sys` intrinsics are static).
 pub(crate) fn call(
-    class: &str,
-    name: &str,
+    which: Intrinsic,
     args: &[Value],
     heap: &mut Heap,
     out: &mut Output,
-    sink: &mut dyn TraceSink,
+    sink: &mut impl TraceSink,
     emitted: &mut u64,
 ) -> Result<IntrinsicOutcome, IntrinsicError> {
     let mut pc = NATIVE_TEXT;
@@ -60,8 +84,8 @@ pub(crate) fn call(
         sink.accept(&i);
         *emitted += 1;
     };
-    match (class, name) {
-        ("Sys", "print_int") => {
+    match which {
+        Intrinsic::PrintInt => {
             let v = int_arg(args, 0)?;
             out.ints.push(v);
             for k in 0..4u64 {
@@ -78,7 +102,7 @@ pub(crate) fn call(
             }
             Ok(IntrinsicOutcome::Done(None))
         }
-        ("Sys", "print_char") => {
+        Intrinsic::PrintChar => {
             let v = int_arg(args, 0)?;
             out.chars.push(char::from_u32(v as u32).unwrap_or('?'));
             emit(
@@ -92,7 +116,7 @@ pub(crate) fn call(
             );
             Ok(IntrinsicOutcome::Done(None))
         }
-        ("Sys", "arraycopy") => {
+        Intrinsic::ArrayCopy => {
             let src = ref_arg(args, 0)?;
             let src_pos = int_arg(args, 1)?;
             let dst = ref_arg(args, 2)?;
@@ -120,7 +144,7 @@ pub(crate) fn call(
             }
             Ok(IntrinsicOutcome::Done(None))
         }
-        ("Sys", "spawn") => {
+        Intrinsic::Spawn => {
             let target = ref_arg(args, 0)?;
             for _ in 0..16 {
                 emit(NativeInst::alu(pc, Phase::Runtime), emitted);
@@ -128,7 +152,7 @@ pub(crate) fn call(
             }
             Ok(IntrinsicOutcome::Spawn { target })
         }
-        ("Sys", "join") => {
+        Intrinsic::Join => {
             let tid = int_arg(args, 0)?;
             if tid < 0 || tid > i32::from(u16::MAX) {
                 return Err(IntrinsicError::BadArgument("join: bad thread id"));
@@ -136,7 +160,6 @@ pub(crate) fn call(
             emit(NativeInst::alu(pc, Phase::Runtime), emitted);
             Ok(IntrinsicOutcome::Join(tid as u16))
         }
-        _ => Err(IntrinsicError::Unknown(format!("{class}::{name}"))),
     }
 }
 
@@ -167,8 +190,7 @@ mod tests {
         let mut sink = CountingSink::new();
         let mut n = 0;
         let r = call(
-            "Sys",
-            "print_int",
+            Intrinsic::lookup("Sys", "print_int").unwrap(),
             &[Value::Int(7)],
             &mut heap,
             &mut out,
@@ -193,8 +215,7 @@ mod tests {
         let mut sink = CountingSink::new();
         let mut n = 0;
         call(
-            "Sys",
-            "arraycopy",
+            Intrinsic::lookup("Sys", "arraycopy").unwrap(),
             &[
                 Value::Ref(src),
                 Value::Int(1),
@@ -214,15 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_intrinsic_errors() {
-        let mut heap = Heap::new();
-        let mut out = Output::default();
-        let mut sink = CountingSink::new();
-        let mut n = 0;
-        assert!(matches!(
-            call("Sys", "nope", &[], &mut heap, &mut out, &mut sink, &mut n),
-            Err(IntrinsicError::Unknown(_))
-        ));
+    fn unknown_intrinsic_is_not_registered() {
+        assert_eq!(Intrinsic::lookup("Sys", "nope"), None);
+        assert_eq!(Intrinsic::lookup("Math", "print_int"), None);
     }
 
     #[test]
@@ -234,8 +249,7 @@ mod tests {
         let mut n = 0;
         assert_eq!(
             call(
-                "Sys",
-                "spawn",
+                Intrinsic::lookup("Sys", "spawn").unwrap(),
                 &[Value::Ref(obj)],
                 &mut heap,
                 &mut out,
@@ -247,8 +261,7 @@ mod tests {
         );
         assert_eq!(
             call(
-                "Sys",
-                "join",
+                Intrinsic::lookup("Sys", "join").unwrap(),
                 &[Value::Int(3)],
                 &mut heap,
                 &mut out,
@@ -260,8 +273,7 @@ mod tests {
         );
         assert!(matches!(
             call(
-                "Sys",
-                "join",
+                Intrinsic::lookup("Sys", "join").unwrap(),
                 &[Value::Int(-1)],
                 &mut heap,
                 &mut out,
@@ -280,8 +292,7 @@ mod tests {
         let mut n = 0;
         assert!(matches!(
             call(
-                "Sys",
-                "spawn",
+                Intrinsic::lookup("Sys", "spawn").unwrap(),
                 &[Value::Null],
                 &mut heap,
                 &mut out,

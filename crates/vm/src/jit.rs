@@ -23,6 +23,7 @@
 //! instructions, more register-allocated locals) at a higher
 //! translation cost.
 
+use crate::code::Method;
 use crate::config::ExecMode;
 use jrt_bytecode::{MethodDef, MethodId, Op};
 use jrt_codecache::{tier, CacheScope, CodeCacheConfig, CodeCacheManager, CodeCacheStats};
@@ -59,13 +60,15 @@ impl CallSite {
 /// A call site's view of its callee — everything [`JitState::ensure_compiled`]
 /// needs to key, tier, translate, and install the method.
 #[derive(Debug, Clone, Copy)]
-pub struct CalleeSite<'a> {
+pub(crate) struct CalleeSite<'a> {
     /// The method being invoked.
     pub callee: MethodId,
     /// The invoking thread (the cache key under `CacheScope::PerThread`).
     pub tid: u16,
     /// The callee's bytecode definition.
     pub def: &'a MethodDef,
+    /// The callee, decoded.
+    pub code: &'a Method,
     /// Where the bytecode image lives in the class area.
     pub code_addr: Addr,
 }
@@ -92,25 +95,24 @@ pub(crate) struct CompiledMethod {
     pub tier: u8,
     /// Locals the generated code keeps in registers.
     pub reg_locals: usize,
-    /// Bytecode offset → installed native address.
-    op_addr: HashMap<u32, Addr>,
-    /// Pre-decoded instructions: offset → (op, encoded length).
-    pub ops: HashMap<u32, (Op, u32)>,
+    /// Installed native address of each bytecode offset's code,
+    /// indexed by pc (offsets inside an instruction hold the entry).
+    addrs: Vec<Addr>,
 }
 
 impl CompiledMethod {
     /// Native address of the code generated for the bytecode at
-    /// `pc`. Offsets between instructions map to the following
-    /// instruction's address.
+    /// `pc`.
+    #[inline]
     pub fn addr(&self, pc: u32) -> Addr {
-        self.op_addr.get(&pc).copied().unwrap_or(self.entry)
+        self.addrs.get(pc as usize).copied().unwrap_or(self.entry)
     }
 }
 
 /// Number of native instructions the translator generates for one
 /// bytecode (static code size; a naive early JIT emits bulky
 /// sequences).
-fn gen_insts(op: &Op) -> u32 {
+pub(crate) fn gen_insts(op: &Op) -> u32 {
     match op {
         Op::Nop => 1,
         Op::IConst(_) | Op::AConstNull => 2, // sethi + or
@@ -147,10 +149,10 @@ fn gen_insts(op: &Op) -> u32 {
     }
 }
 
-/// Generated-instruction count at a given tier: the optimizing tier
-/// emits denser code (about two thirds of the baseline sequence).
-fn gen_insts_at(op: &Op, tier: u8) -> u32 {
-    let n = gen_insts(op);
+/// Generated-instruction count at a given tier from the baseline
+/// count `n`: the optimizing tier emits denser code (about two thirds
+/// of the baseline sequence).
+fn gen_insts_at(n: u32, tier: u8) -> u32 {
     if tier >= TIER_OPT {
         (n * 2 / 3).max(1)
     } else {
@@ -172,6 +174,69 @@ const LOWERING_ROUTINE: Addr = layout::TRANSLATOR_TEXT_BASE + 0x3_0000;
 /// fetches them as data loads.
 const IR_BUFFER_BASE: Addr = layout::VM_DATA_BASE + 0x100_0000;
 
+/// The translator's per-bytecode analysis: `bookkeeping` mostly
+/// independent ALU ops (separate fields of the translator's state,
+/// so the emission loop has instruction-level parallelism like real
+/// compilers) and the two code-generation table lookups for `opcode`.
+/// Starts at translator pc `tpc`; returns the next one.
+fn emit_codegen_prologue(
+    sink: &mut impl TraceSink,
+    mut tpc: Addr,
+    opcode: u8,
+    bookkeeping: u8,
+    emitted: &mut u64,
+) -> Addr {
+    for k in 0..bookkeeping {
+        sink.accept(&NativeInst::alu(tpc, Phase::Translate).with_dst(16 + (k & 7)));
+        tpc += 4;
+    }
+    sink.accept(
+        &NativeInst::load(
+            tpc,
+            layout::VM_DATA_BASE + Addr::from(opcode) * 64,
+            4,
+            Phase::Translate,
+        )
+        .with_dst(6),
+    );
+    sink.accept(
+        &NativeInst::load(
+            tpc + 4,
+            layout::VM_DATA_BASE + 0x4000 + Addr::from(opcode) * 32,
+            4,
+            Phase::Translate,
+        )
+        .with_dst(6),
+    );
+    *emitted += u64::from(bookkeeping) + 2;
+    tpc + 8
+}
+
+/// Generates `n` native instructions and stores each into the code
+/// cache at `*install` (advanced past them), from translator pc `tpc`.
+fn emit_install(
+    sink: &mut impl TraceSink,
+    mut tpc: Addr,
+    install: &mut Addr,
+    n: u32,
+    emitted: &mut u64,
+) {
+    for k in 0..n {
+        let reg = 24 + (k & 7) as u8;
+        sink.accept(
+            &NativeInst::alu(tpc, Phase::Translate)
+                .with_dst(reg)
+                .with_srcs(6, None),
+        );
+        sink.accept(
+            &NativeInst::store(tpc + 4, *install, 4, Phase::Translate).with_srcs(reg, None),
+        );
+        tpc += 8;
+        *install += 4;
+    }
+    *emitted += 2 * u64::from(n);
+}
+
 /// A method lowered to register IR, with its packed words placed in
 /// the simulated IR buffer.
 #[derive(Debug)]
@@ -188,9 +253,8 @@ pub(crate) struct LoweredMethod {
 /// interpreter's dispatch counter.
 #[derive(Debug)]
 pub(crate) struct IrState {
-    /// Lowered methods, each lowered exactly once per VM. Keyed like
-    /// the per-VM cache key: the lookup is on the IR interpreter's
-    /// per-bytecode path, where the id hasher beats SipHash.
+    /// Lowered methods, each lowered exactly once per VM, keyed by
+    /// [`MethodId::key`].
     lowered: IdHashMap<u64, Arc<LoweredMethod>>,
     /// Bump allocator over the IR buffer.
     next_addr: Addr,
@@ -200,12 +264,6 @@ pub(crate) struct IrState {
     pub dispatches: u64,
     /// Methods lowered.
     pub methods_lowered: u32,
-}
-
-/// The [`IrState::lowered`] key for `mid` (same minting as the
-/// per-VM code-cache key).
-fn ir_key(mid: MethodId) -> u64 {
-    (u64::from(mid.class.0) << 24) | u64::from(mid.index)
 }
 
 impl IrState {
@@ -229,14 +287,12 @@ pub(crate) struct JitState {
     /// dependent; see [`JitState::key_for`]).
     // Cache keys and content ids are internally minted integers, so
     // the shared id hasher beats SipHash here.
-    compiled: IdHashMap<u64, Arc<CompiledMethod>>,
+    compiled: IdHashMap<u64, CompiledMethod>,
     /// Content interning for the shared scope: bytecode bytes → id.
     content_ids: HashMap<Vec<u8>, u64>,
-    /// Cached method → content id (shared scope only).
-    content_of: HashMap<MethodId, u64>,
-    /// Per-call-site devirtualization state, keyed by
-    /// (caller, bytecode offset).
-    call_sites: HashMap<(MethodId, u32), CallSite>,
+    /// Cached [`MethodId::key`] → content id (shared scope only; looked
+    /// up on every translated bytecode).
+    content_of: IdHashMap<u64, u64>,
     /// Translator work-buffer high-water mark (footprint).
     pub translator_buffer_bytes: u64,
     /// Methods translated (counting re-translations and upgrades).
@@ -264,8 +320,7 @@ impl JitState {
             mgr: CodeCacheManager::new(config, CODE_REGION_BASE, layout::CODE_CACHE_END + 1),
             compiled: IdHashMap::default(),
             content_ids: HashMap::new(),
-            content_of: HashMap::new(),
-            call_sites: HashMap::new(),
+            content_of: IdHashMap::default(),
             translator_buffer_bytes: 0,
             methods_translated: 0,
             translate_insts: 0,
@@ -288,7 +343,7 @@ impl JitState {
                     | u64::from(mid.index)
             }
             CacheScope::Shared => {
-                if let Some(&id) = self.content_of.get(&mid) {
+                if let Some(&id) = self.content_of.get(&mid.key()) {
                     return (1 << 62) | id;
                 }
                 // First time this method is considered: intern its
@@ -303,7 +358,7 @@ impl JitState {
                     }
                 };
                 self.mgr.note_shared_lookup(dedup);
-                self.content_of.insert(mid, id);
+                self.content_of.insert(mid.key(), id);
                 (1 << 62) | id
             }
         }
@@ -315,15 +370,14 @@ impl JitState {
     /// later job whose method bodies are byte-identical (same
     /// program, or another tenant's copy of it) resolves to the
     /// existing translation without paying for its own. Everything
-    /// keyed by [`MethodId`] — the method→content map, call-site
-    /// devirtualization state, lowered IR — is dropped, because ids
-    /// name methods of one specific program. Only meaningful under
+    /// keyed by [`MethodId`] — the method→content map and the lowered
+    /// IR — is dropped, because ids name methods of one specific
+    /// program. Only meaningful under
     /// [`CacheScope::Shared`]; per-VM and per-thread caches must be
     /// rebuilt from scratch instead (their keys are method ids too).
     pub fn reset_for_reuse(&mut self) {
         debug_assert_eq!(self.scope, CacheScope::Shared);
         self.content_of.clear();
-        self.call_sites.clear();
         self.translator_buffer_bytes = 0;
         self.methods_translated = 0;
         self.translate_insts = 0;
@@ -344,7 +398,7 @@ impl JitState {
                     | (u64::from(mid.class.0) << 24)
                     | u64::from(mid.index),
             ),
-            CacheScope::Shared => self.content_of.get(&mid).map(|&id| (1 << 62) | id),
+            CacheScope::Shared => self.content_of.get(&mid.key()).map(|&id| (1 << 62) | id),
         }
     }
 
@@ -355,26 +409,12 @@ impl JitState {
             .is_some_and(|k| self.compiled.contains_key(&k))
     }
 
-    /// The compiled record for `(mid, tid)`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn compiled(&self, mid: MethodId, tid: u16) -> Option<&Arc<CompiledMethod>> {
-        self.compiled.get(&self.key_lookup(mid, tid)?)
-    }
-
-    /// Cheap shared handle to the compiled record for a frame (lets
-    /// the caller keep the record while mutating the rest of the JIT
-    /// state). `None` after eviction — the frame must demote to
+    /// The compiled record `(mid, tid)` currently resolves to. `None`
+    /// after eviction — a frame running it must demote to
     /// interpretation.
-    pub fn compiled_for_frame(&self, mid: MethodId, tid: u16) -> Option<Arc<CompiledMethod>> {
-        self.compiled.get(&self.key_lookup(mid, tid)?).cloned()
-    }
-
-    /// Records an observed receiver at a virtual call site and
-    /// returns the site's updated state.
-    pub fn observe_call_site(&mut self, caller: MethodId, pc: u32, target: MethodId) -> CallSite {
-        let slot = self.call_sites.entry((caller, pc)).or_default();
-        *slot = slot.observe(target);
-        *slot
+    #[inline]
+    pub fn compiled(&self, mid: MethodId, tid: u16) -> Option<&CompiledMethod> {
+        self.compiled.get(&self.key_lookup(mid, tid)?)
     }
 
     /// Native entry address used by calls to `mid` from thread `tid`:
@@ -417,12 +457,13 @@ impl JitState {
         mode: &ExecMode,
         profile: &mut ProfileTable,
         site: CalleeSite<'_>,
-        sink: &mut dyn TraceSink,
+        sink: &mut impl TraceSink,
     ) -> bool {
         let CalleeSite {
             callee,
             tid,
             def,
+            code,
             code_addr,
         } = site;
         let (policy, ir) = match mode {
@@ -430,11 +471,11 @@ impl JitState {
             ExecMode::Jit(policy) => (policy, None),
             ExecMode::IrInterp => {
                 // Lower once; the IR interpreter runs the method.
-                self.ensure_lowered(callee, def, code_addr, profile, sink);
+                self.ensure_lowered(callee, def, code, code_addr, profile, sink);
                 return false;
             }
             ExecMode::IrJit(policy) => {
-                let lm = self.ensure_lowered(callee, def, code_addr, profile, sink);
+                let lm = self.ensure_lowered(callee, def, code, code_addr, profile, sink);
                 (policy, Some(lm))
             }
         };
@@ -457,8 +498,8 @@ impl JitState {
                     self.tier2_recompiles += 1;
                 }
                 let t = match &ir {
-                    Some(lm) => self.translate_ir_keyed(key, def, want, lm, sink),
-                    None => self.translate_keyed(key, def, code_addr, want, sink),
+                    Some(lm) => self.translate_ir_keyed(key, def, code, want, lm, sink),
+                    None => self.translate_keyed(key, def, code, code_addr, want, sink),
                 };
                 match t {
                     Some(t) => {
@@ -475,10 +516,8 @@ impl JitState {
 
     /// The lowered-IR record for `mid`, if the method has been
     /// lowered (always, in IR modes, by the time a frame runs it).
-    /// Borrowed, not cloned: this sits on the IR interpreter's
-    /// per-bytecode path.
-    pub fn lowered(&self, mid: MethodId) -> Option<&Arc<LoweredMethod>> {
-        self.ir.lowered.get(&ir_key(mid))
+    pub fn lowered(&self, mid: MethodId) -> Option<&LoweredMethod> {
+        self.ir.lowered.get(&mid.key()).map(|lm| &**lm)
     }
 
     /// Lowers `mid` to register IR if it has not been lowered yet,
@@ -490,11 +529,12 @@ impl JitState {
         &mut self,
         mid: MethodId,
         def: &MethodDef,
+        code: &Method,
         code_addr: Addr,
         profile: &mut ProfileTable,
-        sink: &mut dyn TraceSink,
+        sink: &mut impl TraceSink,
     ) -> Arc<LoweredMethod> {
-        if let Some(lm) = self.ir.lowered.get(&ir_key(mid)) {
+        if let Some(lm) = self.ir.lowered.get(&mid.key()) {
             return Arc::clone(lm);
         }
         let ir = lower(&def.code).expect("verified code lowers");
@@ -506,13 +546,11 @@ impl JitState {
         // One pass over the bytecode: read each instruction from the
         // class area and run the abstract-interpretation bookkeeping
         // (stack map, folding, fusion window).
-        let mut pc = 0usize;
-        while pc < def.code.len() {
-            let (_, len) = Op::decode(&def.code, pc).expect("verified code decodes");
+        for (pc, _) in code.ops() {
             emit(
                 NativeInst::load(
                     LOWERING_ROUTINE,
-                    code_addr + u64::from(pc as u32),
+                    code_addr + u64::from(pc),
                     4,
                     Phase::Translate,
                 )
@@ -526,7 +564,6 @@ impl JitState {
                     &mut emitted,
                 );
             }
-            pc += len;
         }
         // Pack the IR words into the IR buffer: data stores, not
         // code-cache installs — the IR interpreter fetches these as
@@ -545,11 +582,11 @@ impl JitState {
         self.translate_insts += emitted;
         profile.get_mut(mid).translate_cycles += emitted;
         let lm = Arc::new(LoweredMethod { ir, base });
-        self.ir.lowered.insert(ir_key(mid), Arc::clone(&lm));
+        self.ir.lowered.insert(mid.key(), Arc::clone(&lm));
         lm
     }
 
-    /// Translates `def` (whose bytecode image lives at `code_addr`)
+    /// Translates `code` (whose bytecode image lives at `code_addr`)
     /// at `tier`, emitting the translation trace (including eviction
     /// bookkeeping for any victims) and installing the result under
     /// `key`. Returns the number of translator instructions emitted
@@ -559,9 +596,10 @@ impl JitState {
         &mut self,
         key: u64,
         def: &MethodDef,
+        code: &Method,
         code_addr: Addr,
         tier: u8,
-        sink: &mut dyn TraceSink,
+        sink: &mut impl TraceSink,
     ) -> Option<u64> {
         assert!(!self.compiled.contains_key(&key), "method translated twice");
         assert!(!def.flags.is_native, "native methods are not translated");
@@ -571,21 +609,14 @@ impl JitState {
             TIER1_BOOKKEEPING
         };
 
-        // Pre-pass: decode and size the generated code, so the
-        // manager can place (and make room for) the segment before
-        // the first store is emitted.
-        let mut decoded = Vec::new();
-        let mut total_gen = 0u64;
-        let mut pc = 0usize;
-        while pc < def.code.len() {
-            let (op, len) = Op::decode(&def.code, pc).expect("verified code decodes");
-            total_gen += u64::from(gen_insts_at(&op, tier));
-            decoded.push((pc as u32, op, len as u32));
-            pc += len;
-        }
-        let code_bytes = 4 * total_gen;
-
-        let outcome = self.mgr.install(key, code_bytes);
+        // Size the generated code first, so the manager can place
+        // (and make room for) the segment before the first store is
+        // emitted.
+        let total_gen: u64 = code
+            .ops()
+            .map(|(_, inst)| u64::from(gen_insts_at(inst.gen, tier)))
+            .sum();
+        let outcome = self.mgr.install(key, 4 * total_gen);
         let mut emitted = self.evict_victims(&outcome.evicted, sink);
         let Some(entry) = outcome.entry else {
             // Failed install: the eviction bookkeeping above still ran
@@ -600,98 +631,57 @@ impl JitState {
         };
         let mut install = entry;
 
-        let mut op_addr = HashMap::new();
-        let mut ops = HashMap::new();
-        for (pc, op, len) in decoded {
-            let opcode = op.dispatch_index();
+        let mut addrs = vec![entry; code.insts.len()];
+        for (pc, inst) in code.ops() {
+            let opcode = inst.opcode;
             // The per-opcode code-generation routine: high code reuse
             // across bytecodes of the same kind.
             let routine = layout::TRANSLATOR_TEXT_BASE + Addr::from(opcode) * TRANSLATOR_STRIDE;
             let mut tpc = routine;
-            let mut emit = |i: NativeInst, emitted: &mut u64| {
-                sink.accept(&i);
-                *emitted += 1;
-            };
 
             // Read the bytecode (and operands) from the class area.
-            for k in 0..len.div_ceil(4) {
-                emit(
-                    NativeInst::load(
+            for k in 0..inst.len.div_ceil(4) {
+                sink.accept(
+                    &NativeInst::load(
                         tpc,
                         code_addr + u64::from(pc) + u64::from(4 * k),
                         4,
                         Phase::Translate,
                     )
                     .with_dst(4),
-                    &mut emitted,
                 );
                 tpc += 4;
             }
+            emitted += u64::from(inst.len.div_ceil(4));
             // Decode / stack-simulation / CFG bookkeeping. The cost
             // is calibrated so translating a bytecode costs slightly
             // more than one interpretation of it — which is what makes
             // the paper's oracle (Figure 1) worth only 10-15%. The
             // optimizing tier does more analysis per bytecode.
-            for k in 0..bookkeeping {
-                // Mostly independent bookkeeping (separate fields of
-                // the translator's state), so the emission loop has
-                // instruction-level parallelism like real compilers.
-                emit(
-                    NativeInst::alu(tpc, Phase::Translate).with_dst(16 + (k & 7)),
-                    &mut emitted,
-                );
-                tpc += 4;
-            }
-            // Code-generation table lookups.
-            emit(
-                NativeInst::load(
-                    tpc,
-                    layout::VM_DATA_BASE + Addr::from(opcode) * 64,
-                    4,
-                    Phase::Translate,
-                )
-                .with_dst(6),
-                &mut emitted,
-            );
-            tpc += 4;
-            emit(
-                NativeInst::load(
-                    tpc,
-                    layout::VM_DATA_BASE + 0x4000 + Addr::from(opcode) * 32,
-                    4,
-                    Phase::Translate,
-                )
-                .with_dst(6),
-                &mut emitted,
-            );
-            tpc += 4;
+            tpc = emit_codegen_prologue(sink, tpc, opcode, bookkeeping, &mut emitted);
 
             // Generate and install the native instructions: the
             // stores into the code cache are the compulsory write
             // misses of Figure 5.
-            op_addr.insert(pc, install);
-            let n = gen_insts_at(&op, tier);
-            for k in 0..n {
-                let reg = 24 + (k & 7) as u8;
-                emit(
-                    NativeInst::alu(tpc, Phase::Translate)
-                        .with_dst(reg)
-                        .with_srcs(6, None),
-                    &mut emitted,
-                );
-                tpc += 4;
-                emit(
-                    NativeInst::store(tpc, install, 4, Phase::Translate).with_srcs(reg, None),
-                    &mut emitted,
-                );
-                tpc += 4;
-                install += 4;
-            }
-
-            ops.insert(pc, (op, len));
+            addrs[pc as usize] = install;
+            let n = gen_insts_at(inst.gen, tier);
+            emit_install(sink, tpc, &mut install, n, &mut emitted);
         }
+        Some(self.finish_install(key, entry, install, tier, emitted, addrs))
+    }
 
-        let code_bytes = (install - entry) as u32;
+    /// Records a successful install: footprint and counters, and the
+    /// compiled record translated frames run from. Returns `emitted`.
+    fn finish_install(
+        &mut self,
+        key: u64,
+        entry: Addr,
+        end: Addr,
+        tier: u8,
+        emitted: u64,
+        addrs: Vec<Addr>,
+    ) -> u64 {
+        let code_bytes = (end - entry) as u32;
         self.translator_buffer_bytes = self
             .translator_buffer_bytes
             .max(4 * u64::from(code_bytes) / 3 + 256);
@@ -700,10 +690,9 @@ impl JitState {
         if tier >= TIER_OPT {
             self.opt_translate_insts += emitted;
         }
-
         self.compiled.insert(
             key,
-            Arc::new(CompiledMethod {
+            CompiledMethod {
                 entry,
                 code_bytes,
                 tier,
@@ -712,11 +701,10 @@ impl JitState {
                 } else {
                     TIER1_REG_LOCALS
                 },
-                op_addr,
-                ops,
-            }),
+                addrs,
+            },
         );
-        Some(emitted)
+        emitted
     }
 
     /// Eviction bookkeeping shared by both translators: the manager
@@ -724,7 +712,7 @@ impl JitState {
     /// runtime work that lands in the Translate phase, exactly where
     /// re-translation cost should show up. Drops the victims'
     /// compiled records and returns the instruction count emitted.
-    fn evict_victims(&mut self, evicted: &[(u64, Addr)], sink: &mut dyn TraceSink) -> u64 {
+    fn evict_victims(&mut self, evicted: &[(u64, Addr)], sink: &mut impl TraceSink) -> u64 {
         let mut emitted = 0u64;
         for (victim, victim_entry) in evicted {
             self.compiled.remove(victim);
@@ -769,9 +757,10 @@ impl JitState {
         &mut self,
         key: u64,
         def: &MethodDef,
+        code: &Method,
         tier: u8,
         lm: &LoweredMethod,
-        sink: &mut dyn TraceSink,
+        sink: &mut impl TraceSink,
     ) -> Option<u64> {
         assert!(!self.compiled.contains_key(&key), "method translated twice");
         assert!(!def.flags.is_native, "native methods are not translated");
@@ -781,21 +770,13 @@ impl JitState {
             TIER1_BOOKKEEPING
         };
 
-        // Pre-pass: decode and size. Only Exec pcs generate code.
-        let mut decoded = Vec::new();
-        let mut total_gen = 0u64;
-        let mut pc = 0usize;
-        while pc < def.code.len() {
-            let (op, len) = Op::decode(&def.code, pc).expect("verified code decodes");
-            if matches!(lm.ir.plan_at(pc as u32), PcPlan::Exec { .. }) {
-                total_gen += u64::from(gen_insts_at(&op, tier));
-            }
-            decoded.push((pc as u32, op, len as u32));
-            pc += len;
-        }
-        let code_bytes = 4 * total_gen;
-
-        let outcome = self.mgr.install(key, code_bytes);
+        // Size first. Only Exec pcs generate code.
+        let total_gen: u64 = code
+            .ops()
+            .filter(|&(pc, _)| matches!(lm.ir.plan_at(pc), PcPlan::Exec { .. }))
+            .map(|(_, inst)| u64::from(gen_insts_at(inst.gen, tier)))
+            .sum();
+        let outcome = self.mgr.install(key, 4 * total_gen);
         let mut emitted = self.evict_victims(&outcome.evicted, sink);
         let Some(entry) = outcome.entry else {
             self.translate_insts += emitted;
@@ -806,125 +787,46 @@ impl JitState {
         };
         let mut install = entry;
 
-        let mut op_addr = HashMap::new();
-        let mut ops = HashMap::new();
-        for (pc, op, len) in decoded {
-            // Fused or folded pcs map to the next generated address
-            // (consistent with `CompiledMethod::addr`'s fallthrough).
-            op_addr.insert(pc, install);
+        let mut addrs = vec![entry; code.insts.len()];
+        for (pc, inst) in code.ops() {
+            // Fused or folded pcs map to the next generated address.
+            addrs[pc as usize] = install;
             let PcPlan::Exec { word_off, words } = lm.ir.plan_at(pc) else {
                 sink.accept(
                     &NativeInst::alu(LOWERING_ROUTINE + 0x800, Phase::Translate).with_dst(16),
                 );
                 emitted += 1;
-                ops.insert(pc, (op, len));
                 continue;
             };
-            let opcode = op.dispatch_index();
+            let opcode = inst.opcode;
             let routine = layout::TRANSLATOR_TEXT_BASE + Addr::from(opcode) * TRANSLATOR_STRIDE;
             let mut tpc = routine;
-            let mut emit = |i: NativeInst, emitted: &mut u64| {
-                sink.accept(&i);
-                *emitted += 1;
-            };
 
             // Read the packed IR words from the IR buffer — the
             // lowering pass already did the bytecode decoding.
             for k in 0..u64::from(words) {
-                emit(
-                    NativeInst::load(
+                sink.accept(
+                    &NativeInst::load(
                         tpc,
                         lm.base + 4 * (u64::from(word_off) + k),
                         4,
                         Phase::Translate,
                     )
                     .with_dst(4),
-                    &mut emitted,
                 );
                 tpc += 4;
             }
+            emitted += u64::from(words);
             // Codegen bookkeeping (register assignment reuses the
             // lowering's typed operands; cost mirrors the baseline
-            // translator's per-op analysis).
-            for k in 0..bookkeeping {
-                emit(
-                    NativeInst::alu(tpc, Phase::Translate).with_dst(16 + (k & 7)),
-                    &mut emitted,
-                );
-                tpc += 4;
-            }
-            // Code-generation table lookups.
-            emit(
-                NativeInst::load(
-                    tpc,
-                    layout::VM_DATA_BASE + Addr::from(opcode) * 64,
-                    4,
-                    Phase::Translate,
-                )
-                .with_dst(6),
-                &mut emitted,
-            );
-            tpc += 4;
-            emit(
-                NativeInst::load(
-                    tpc,
-                    layout::VM_DATA_BASE + 0x4000 + Addr::from(opcode) * 32,
-                    4,
-                    Phase::Translate,
-                )
-                .with_dst(6),
-                &mut emitted,
-            );
-            tpc += 4;
+            // translator's per-op analysis) and table lookups.
+            tpc = emit_codegen_prologue(sink, tpc, opcode, bookkeeping, &mut emitted);
 
             // Generate and install.
-            let n = gen_insts_at(&op, tier);
-            for k in 0..n {
-                let reg = 24 + (k & 7) as u8;
-                emit(
-                    NativeInst::alu(tpc, Phase::Translate)
-                        .with_dst(reg)
-                        .with_srcs(6, None),
-                    &mut emitted,
-                );
-                tpc += 4;
-                emit(
-                    NativeInst::store(tpc, install, 4, Phase::Translate).with_srcs(reg, None),
-                    &mut emitted,
-                );
-                tpc += 4;
-                install += 4;
-            }
-
-            ops.insert(pc, (op, len));
+            let n = gen_insts_at(inst.gen, tier);
+            emit_install(sink, tpc, &mut install, n, &mut emitted);
         }
-
-        let code_bytes = (install - entry) as u32;
-        self.translator_buffer_bytes = self
-            .translator_buffer_bytes
-            .max(4 * u64::from(code_bytes) / 3 + 256);
-        self.methods_translated += 1;
-        self.translate_insts += emitted;
-        if tier >= TIER_OPT {
-            self.opt_translate_insts += emitted;
-        }
-
-        self.compiled.insert(
-            key,
-            Arc::new(CompiledMethod {
-                entry,
-                code_bytes,
-                tier,
-                reg_locals: if tier >= TIER_OPT {
-                    TIER2_REG_LOCALS
-                } else {
-                    TIER1_REG_LOCALS
-                },
-                op_addr,
-                ops,
-            }),
-        );
-        Some(emitted)
+        Some(self.finish_install(key, entry, install, tier, emitted, addrs))
     }
 
     /// Translates `(mid, tid)` at the baseline tier (tests and the
@@ -934,12 +836,20 @@ impl JitState {
         &mut self,
         mid: MethodId,
         def: &MethodDef,
+        code: &Method,
         code_addr: Addr,
-        sink: &mut dyn TraceSink,
+        sink: &mut impl TraceSink,
     ) -> u64 {
         let key = self.key_for(mid, 0, def);
-        self.translate_keyed(key, def, code_addr, jrt_codecache::TIER_BASELINE, sink)
-            .expect("unbounded install succeeds")
+        self.translate_keyed(
+            key,
+            def,
+            code,
+            code_addr,
+            jrt_codecache::TIER_BASELINE,
+            sink,
+        )
+        .expect("unbounded install succeeds")
     }
 }
 
@@ -976,9 +886,10 @@ mod tests {
     fn translation_emits_code_cache_writes() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let mut jit = jit();
         let mut rec = RecordingSink::new();
-        let t = jit.translate(mid, def, layout::CLASS_AREA_BASE + 64, &mut rec);
+        let t = jit.translate(mid, def, &code, layout::CLASS_AREA_BASE + 64, &mut rec);
         assert!(t > 0);
         assert_eq!(t as usize, rec.len());
         assert!(jit.is_compiled(mid, 0));
@@ -1000,9 +911,10 @@ mod tests {
     fn translation_reads_bytecode_from_class_area() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let mut jit = jit();
         let mut mix = InstMix::new();
-        jit.translate(mid, def, layout::CLASS_AREA_BASE + 64, &mut mix);
+        jit.translate(mid, def, &code, layout::CLASS_AREA_BASE + 64, &mut mix);
         assert!(mix.count(jrt_trace::InstClass::Load) > 0);
         assert!(mix.count(jrt_trace::InstClass::Store) > 0);
     }
@@ -1011,14 +923,19 @@ mod tests {
     fn installed_addresses_are_ordered_and_disjoint() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let mut jit = jit();
         let mut sink = jrt_trace::CountingSink::new();
-        jit.translate(mid, def, layout::CLASS_AREA_BASE + 64, &mut sink);
+        jit.translate(mid, def, &code, layout::CLASS_AREA_BASE + 64, &mut sink);
         let cm = jit.compiled(mid, 0).unwrap();
-        let mut addrs: Vec<Addr> = cm.ops.keys().map(|&pc| cm.addr(pc)).collect();
+        let mut addrs: Vec<Addr> = code.ops().map(|(pc, _)| cm.addr(pc)).collect();
         addrs.sort_unstable();
         addrs.dedup();
-        assert_eq!(addrs.len(), cm.ops.len(), "each bytecode gets its own code");
+        assert_eq!(
+            addrs.len(),
+            code.ops().count(),
+            "each bytecode gets its own code"
+        );
         assert!(cm.code_bytes > 0);
         assert_eq!(cm.entry, cm.addr(0));
         assert_eq!(cm.tier, TIER_BASELINE);
@@ -1029,11 +946,12 @@ mod tests {
     fn entry_addr_is_stub_until_translated() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let mut jit = jit();
         let stub = jit.entry_addr(mid, 0);
         assert!(stub < STUB_REGION_END);
         let mut sink = jrt_trace::CountingSink::new();
-        jit.translate(mid, def, layout::CLASS_AREA_BASE + 64, &mut sink);
+        jit.translate(mid, def, &code, layout::CLASS_AREA_BASE + 64, &mut sink);
         let real = jit.entry_addr(mid, 0);
         assert!(real >= CODE_REGION_BASE);
         assert_ne!(stub, real);
@@ -1043,15 +961,16 @@ mod tests {
     fn second_method_installs_after_first() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let mut jit = jit();
         let mut sink = jrt_trace::CountingSink::new();
-        jit.translate(mid, def, layout::CLASS_AREA_BASE + 64, &mut sink);
+        jit.translate(mid, def, &code, layout::CLASS_AREA_BASE + 64, &mut sink);
         let first_entry = jit.entry_addr(mid, 0);
         let other = MethodId {
             class: ClassId(0),
             index: 99,
         };
-        jit.translate(other, def, layout::CLASS_AREA_BASE + 964, &mut sink);
+        jit.translate(other, def, &code, layout::CLASS_AREA_BASE + 964, &mut sink);
         assert!(jit.entry_addr(other, 0) > first_entry);
         assert_eq!(jit.methods_translated, 2);
         assert!(jit.live_bytes() > 0);
@@ -1083,32 +1002,34 @@ mod tests {
     fn double_translation_panics() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let mut jit = jit();
         let mut sink = jrt_trace::CountingSink::new();
-        jit.translate(mid, def, layout::CLASS_AREA_BASE, &mut sink);
-        jit.translate(mid, def, layout::CLASS_AREA_BASE, &mut sink);
+        jit.translate(mid, def, &code, layout::CLASS_AREA_BASE, &mut sink);
+        jit.translate(mid, def, &code, layout::CLASS_AREA_BASE, &mut sink);
     }
 
     #[test]
     fn eviction_drops_compiled_record_and_emits_translate_events() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         // Capacity fits exactly one copy of the sample method.
         let one = {
             let mut probe = jit();
             let mut sink = jrt_trace::CountingSink::new();
-            probe.translate(mid, def, layout::CLASS_AREA_BASE, &mut sink);
+            probe.translate(mid, def, &code, layout::CLASS_AREA_BASE, &mut sink);
             probe.live_bytes()
         };
         let mut jit = JitState::new(CodeCacheConfig::bounded(one, EvictionPolicy::Lru));
         let mut sink = jrt_trace::CountingSink::new();
-        jit.translate(mid, def, layout::CLASS_AREA_BASE, &mut sink);
+        jit.translate(mid, def, &code, layout::CLASS_AREA_BASE, &mut sink);
         let other = MethodId {
             class: ClassId(0),
             index: 99,
         };
         let mut rec = RecordingSink::new();
-        jit.translate(other, def, layout::CLASS_AREA_BASE + 964, &mut rec);
+        jit.translate(other, def, &code, layout::CLASS_AREA_BASE + 964, &mut rec);
         assert!(!jit.is_compiled(mid, 0), "first method evicted");
         assert!(jit.is_compiled(other, 0));
         assert_eq!(jit.cache_stats().evictions, 1);
@@ -1120,10 +1041,11 @@ mod tests {
     fn shared_scope_dedups_identical_bodies() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let cfg = CodeCacheConfig::default().with_scope(CacheScope::Shared);
         let mut jit = JitState::new(cfg);
         let mut sink = jrt_trace::CountingSink::new();
-        jit.translate(mid, def, layout::CLASS_AREA_BASE, &mut sink);
+        jit.translate(mid, def, &code, layout::CLASS_AREA_BASE, &mut sink);
         // A different method with byte-identical code resolves to the
         // same installed segment without translating again.
         let other = MethodId {
@@ -1141,6 +1063,7 @@ mod tests {
                 callee: other,
                 tid: 0,
                 def,
+                code: &code,
                 code_addr: layout::CLASS_AREA_BASE,
             },
             &mut sink
@@ -1153,6 +1076,7 @@ mod tests {
     fn per_thread_scope_translates_per_thread() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let cfg = CodeCacheConfig::default().with_scope(CacheScope::PerThread);
         let mut jit = JitState::new(cfg);
         let mut profile = ProfileTable::new();
@@ -1165,6 +1089,7 @@ mod tests {
                 callee: mid,
                 tid: 0,
                 def,
+                code: &code,
                 code_addr: layout::CLASS_AREA_BASE,
             },
             &mut sink
@@ -1177,6 +1102,7 @@ mod tests {
                 callee: mid,
                 tid: 1,
                 def,
+                code: &code,
                 code_addr: layout::CLASS_AREA_BASE,
             },
             &mut sink
@@ -1189,6 +1115,7 @@ mod tests {
     fn tiered_upgrade_recompiles_denser_code() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let mut jit = jit();
         let mut profile = ProfileTable::new();
         let mode = ExecMode::Jit(jrt_codecache::JitPolicy::Tiered { t1: 1, t2: 4 });
@@ -1198,6 +1125,7 @@ mod tests {
             callee: mid,
             tid: 0,
             def,
+            code: &code,
             code_addr: layout::CLASS_AREA_BASE,
         };
         assert!(jit.ensure_compiled(&mode, &mut profile, site, &mut sink));
@@ -1220,6 +1148,7 @@ mod tests {
     fn ir_interp_mode_lowers_once_and_never_installs() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let mut jit = jit();
         let mut profile = ProfileTable::new();
         let mode = ExecMode::IrInterp;
@@ -1228,6 +1157,7 @@ mod tests {
             callee: mid,
             tid: 0,
             def,
+            code: &code,
             code_addr: layout::CLASS_AREA_BASE,
         };
         assert!(!jit.ensure_compiled(&mode, &mut profile, site, &mut rec));
@@ -1261,12 +1191,14 @@ mod tests {
     fn ir_jit_installs_denser_code_than_baseline() {
         let (p, mid) = sample();
         let def = p.method_def(mid);
+        let code = crate::code::decode(&p, mid);
         let mut profile = ProfileTable::new();
         let mut sink = jrt_trace::CountingSink::new();
         let site = CalleeSite {
             callee: mid,
             tid: 0,
             def,
+            code: &code,
             code_addr: layout::CLASS_AREA_BASE,
         };
 
@@ -1293,10 +1225,9 @@ mod tests {
             ir.code_bytes,
             stack.code_bytes
         );
-        // Every bytecode keeps a decoded record and a native address
-        // for the stepper, fused or not.
-        assert_eq!(ir.ops.len(), stack.ops.len());
-        assert_eq!(ir.op_addr.len(), stack.op_addr.len());
+        // Every bytecode keeps a native address for the stepper,
+        // fused or not.
+        assert_eq!(ir.addrs.len(), stack.addrs.len());
         assert_eq!(b.ir.methods_lowered, 1);
         assert_eq!(b.methods_translated, 1);
     }

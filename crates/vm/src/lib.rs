@@ -60,6 +60,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod code;
 mod config;
 mod emit;
 mod gc;

@@ -162,7 +162,7 @@ impl Linker {
         id: ClassId,
         program: &Program,
         heap: &mut Heap,
-        sink: &mut dyn TraceSink,
+        sink: &mut impl TraceSink,
     ) -> u64 {
         if self.is_loaded(id) {
             return 0;
@@ -196,7 +196,7 @@ impl Linker {
         id: ClassId,
         program: &Program,
         heap: &mut Heap,
-        sink: &mut dyn TraceSink,
+        sink: &mut impl TraceSink,
     ) -> u64 {
         let cf = program.class_file(id);
 

@@ -1,19 +1,24 @@
 //! The shared semantic core: executes one bytecode of one thread.
 //!
-//! Both engines run through this function; the [`Emit`] implementation
-//! chosen for the current frame (interpreter vs. translated code)
+//! Every engine runs through this function; the [`Emitter`] chosen
+//! for the current frame (stack or IR interpreter, translated code)
 //! decides what native instructions the action costs. This guarantees
 //! the two execution modes compute identical results — the paper's
 //! contrast is purely architectural, and so is ours.
 
+use crate::code::{CodeTable, Xop};
+use crate::config::ExecMode;
 use crate::emit::interp::invoke_helper_addr;
-use crate::emit::{Emit, InterpEmitter, InvokeKind, IrInterpEmitter, IrJitEmitter, JitEmitter};
+use crate::emit::{
+    Emit, Emitter, InterpEmitter, InvokeKind, IrInterpEmitter, IrJitEmitter, JitEmitter,
+};
 use crate::heap::{Handle, Value};
-use crate::intrinsics::{self, IntrinsicOutcome};
-use crate::jit::CallSite;
+use crate::intrinsics::{self, IntrinsicError, IntrinsicOutcome};
+use crate::jit::{CallSite, CalleeSite, JitState};
 use crate::thread::{ThreadState, ThreadStatus};
 use crate::vm::{StepEnv, VmError};
-use jrt_bytecode::{Op, RetKind};
+use jrt_bytecode::{ClassId, MethodId, Program, RetKind};
+use jrt_codecache::ProfileTable;
 use jrt_ir::PcPlan;
 use jrt_sync::{EnterOutcome, ExitOutcome};
 use jrt_trace::{layout, Addr, InstClass, TraceSink};
@@ -59,22 +64,21 @@ fn lock_addr(env: &StepEnv<'_>, h: Handle) -> Addr {
 pub(crate) fn step(
     env: &mut StepEnv<'_>,
     thread: &mut ThreadState,
-    sink: &mut dyn TraceSink,
+    sink: &mut impl TraceSink,
 ) -> Result<StepOutcome, VmError> {
     let program = env.program;
-    let mid = thread.frame().method;
-    let mut jit_frame = thread.frame().jit;
-    let pc = thread.frame().pc;
-    let def = program.method_def(mid);
-    let pool = &program.class_file(mid.class).pool;
+    let frame = thread.frame();
+    let mid = frame.method;
+    let mut jit_frame = frame.jit;
+    let pc = frame.pc;
 
     // Pending synchronized-method entry?
-    if let Some(obj) = thread.frame().sync_pending {
+    if let Some(obj) = frame.sync_pending {
         match env.sync.monitor_enter(obj, thread.id) {
             EnterOutcome::Acquired { cost, .. } => {
                 let mut n = 0u64;
                 crate::emit::interp::emit_sync(sink, cost, lock_addr(env, obj), &mut n);
-                charge(env, mid, jit_frame, n);
+                charge(env, mid, jit_frame, n, false);
                 let f = thread.frame_mut();
                 f.sync_pending = None;
                 f.sync_obj = Some(obj);
@@ -82,111 +86,77 @@ pub(crate) fn step(
             EnterOutcome::Blocked { cost } => {
                 let mut n = 0u64;
                 crate::emit::interp::emit_sync(sink, cost, lock_addr(env, obj), &mut n);
-                charge(env, mid, jit_frame, n);
+                charge(env, mid, jit_frame, n, false);
                 thread.status = ThreadStatus::Blocked(obj);
                 return Ok(StepOutcome::Blocked);
             }
         }
     }
 
-    // Decode. A frame whose translated code was evicted mid-flight
-    // demotes to interpretation — the eviction's cost is precisely
-    // this fallback (slower bytecodes, and possible re-translation on
-    // the next invocation).
-    let cm_rc = if jit_frame {
-        let cm = env.jit.compiled_for_frame(mid, thread.id);
-        if cm.is_none() {
-            thread.frame_mut().jit = false;
-            jit_frame = false;
-        }
-        cm
+    // A frame whose translated code was evicted mid-flight demotes to
+    // interpretation — the eviction's cost is precisely this fallback
+    // (slower bytecodes, and possible re-translation on the next
+    // invocation). A translated frame reads its native addresses from
+    // whichever record the method resolves to now.
+    let method = env.code.get(mid);
+    let inst = method.insts[pc as usize];
+    let ir_base = method.ir_base;
+    let (code, reg_locals, branch) = if !jit_frame {
+        (0, 0, 0)
+    } else if let Some(cm) = env.jit.compiled(mid, thread.id) {
+        (
+            cm.addr(pc),
+            cm.reg_locals,
+            inst.op.branch_target().map_or(0, |t| cm.addr(t)),
+        )
     } else {
-        None
-    };
-    let decoded_owned;
-    let (op, len): (&Op, u32) = match &cm_rc {
-        Some(cm) => {
-            let (o, l) = cm
-                .ops
-                .get(&pc)
-                .expect("pc lands on compiled instruction boundary");
-            (o, *l)
-        }
-        None => {
-            let (o, l) = Op::decode(&def.code, pc as usize)
-                .map_err(|e| VmError::Internal(format!("decode at {pc}: {e}")))?;
-            decoded_owned = o;
-            (&decoded_owned, l as u32)
-        }
+        thread.frame_mut().jit = false;
+        jit_frame = false;
+        (0, 0, 0)
     };
 
-    // Differential-fuzzing observability: histogram the decoded
-    // opcode before it acts, so faulting bytecodes are counted too
-    // and engines compare at bytecode granularity.
+    // Differential-fuzzing observability: histogram the opcode before
+    // it acts, so faulting bytecodes are counted too and engines
+    // compare at bytecode granularity.
     if let Some(counts) = env.opcode_counts.as_mut() {
-        counts[usize::from(op.dispatch_index())] += 1;
+        counts[usize::from(inst.opcode)] += 1;
     }
 
     // Emitter for this bytecode.
-    let addr_fn: Box<dyn Fn(u32) -> Addr> = match &cm_rc {
-        Some(cm) => {
-            let cm = cm.clone();
-            Box::new(move |p| cm.addr(p))
-        }
-        None => Box::new(|_| 0),
-    };
-    // In IR modes every non-native method is lowered by
-    // `ensure_compiled` before its frame is pushed (thread starts and
-    // invokes share that decision point), so the record exists. Only
-    // Copy values leave the borrow: this runs per bytecode, so the
-    // lookup must not clone the Arc.
-    let ir_plan = if env.mode.is_ir() {
-        let lm = env
-            .jit
-            .lowered(mid)
-            .expect("IR mode lowers before stepping");
-        let plan = lm.ir.plan_at(pc);
-        let slot = match lm.ir.inst_at(pc) {
-            _ if jit_frame => 0, // translated frames never dispatch
-            Some(inst) => inst.opcode(),
-            None => op.dispatch_index(),
-        };
-        Some((plan, slot, lm.base))
-    } else {
-        None
-    };
-    let mut em: Box<dyn Emit> = if jit_frame {
-        let reg_locals = cm_rc.as_ref().map_or(0, |cm| cm.reg_locals);
-        let inner = JitEmitter::new(&*addr_fn, pc, thread.frame().stack.len(), reg_locals);
-        match ir_plan {
+    let ir = env.mode.is_ir();
+    let mut em = if jit_frame {
+        let inner = JitEmitter::new(code, thread.frame().stack.len(), reg_locals);
+        if ir {
             // IR-translated code: fused register moves and elided pcs
             // emit nothing.
-            Some((plan, _, _)) => Box::new(IrJitEmitter::new(inner, plan, reg_locals)),
-            None => Box::new(inner),
+            Emitter::IrJit(IrJitEmitter::new(inner, inst.plan, reg_locals))
+        } else {
+            Emitter::Jit(inner)
         }
-    } else if let Some((plan, slot, ir_base)) = ir_plan {
+    } else if ir {
         // Register-IR interpreter: only `Exec` pcs dispatch (through
         // their IR opcode's handler); covered pcs run their micro-ops
         // inside the covering handler's text, elided pcs are free.
-        let em = IrInterpEmitter::new(plan, slot, thread.last_opcode, ir_base);
-        if matches!(plan, PcPlan::Exec { .. }) {
+        let em = IrInterpEmitter::new(inst.plan, inst.ir_slot, thread.last_opcode, ir_base);
+        if matches!(inst.plan, PcPlan::Exec { .. }) {
             env.jit.ir.dispatches += 1;
-            thread.last_opcode = slot;
+            thread.last_opcode = inst.ir_slot;
         }
-        Box::new(em)
+        Emitter::IrInterp(em)
     } else {
         let em = InterpEmitter::new(
             env.linker.code_addr(mid),
             pc,
-            op.dispatch_index(),
+            inst.opcode,
             thread.last_opcode,
             thread.frame().locals_addr - 16,
         );
         // picoJava-style folding: up to four consecutive simple
         // bytecodes share the previous dispatch.
-        let fold = env.folding && is_foldable(op) && (1..4).contains(&thread.fold_run);
+        let foldable = inst.is_foldable();
+        let fold = env.folding && foldable && (1..4).contains(&thread.fold_run);
         if env.folding {
-            thread.fold_run = if is_foldable(op) {
+            thread.fold_run = if foldable {
                 if thread.fold_run >= 4 {
                     1
                 } else {
@@ -196,14 +166,12 @@ pub(crate) fn step(
                 0
             };
         }
-        Box::new(if fold { em.folded() } else { em })
+        thread.last_opcode = inst.opcode;
+        Emitter::Interp(if fold { em.folded() } else { em })
     };
-    if !jit_frame && ir_plan.is_none() {
-        thread.last_opcode = op.dispatch_index();
-    }
     em.begin(sink);
-    if len > 1 {
-        em.operand_fetch(sink, len - 1);
+    if inst.len > 1 {
+        em.operand_fetch(sink, inst.len - 1);
     }
 
     macro_rules! pop {
@@ -239,77 +207,77 @@ pub(crate) fn step(
         }};
     }
 
-    let mut next_pc = pc + len;
+    let mut next_pc = pc + inst.len;
 
-    match op {
-        Op::Nop => {}
-        Op::IConst(v) => {
+    match inst.op {
+        Xop::Nop => {}
+        Xop::IConst(v) => {
             em.alu(sink, InstClass::IntAlu);
-            push!(Value::Int(*v));
+            push!(Value::Int(v));
         }
-        Op::AConstNull => {
+        Xop::AConstNull => {
             em.alu(sink, InstClass::IntAlu);
             push!(Value::Null);
         }
-        Op::ILoad(n) | Op::ALoad(n) => {
-            let n = usize::from(*n);
+        Xop::ILoad(n) | Xop::ALoad(n) => {
+            let n = usize::from(n);
             let addr = thread.frame().local_addr(n);
             em.local_read(sink, n, addr);
             let v = thread.frame().locals[n];
             push!(v);
         }
-        Op::IStore(n) | Op::AStore(n) => {
-            let n = usize::from(*n);
+        Xop::IStore(n) | Xop::AStore(n) => {
+            let n = usize::from(n);
             let v = pop!();
             let addr = thread.frame().local_addr(n);
             em.local_write(sink, n, addr);
             thread.frame_mut().locals[n] = v;
         }
-        Op::Pop => {
+        Xop::Pop => {
             pop!();
         }
-        Op::Dup => {
+        Xop::Dup => {
             let v = pop!();
             push!(v);
             push!(v);
         }
-        Op::DupX1 => {
+        Xop::DupX1 => {
             let v1 = pop!();
             let v2 = pop!();
             push!(v1);
             push!(v2);
             push!(v1);
         }
-        Op::Swap => {
+        Xop::Swap => {
             let v1 = pop!();
             let v2 = pop!();
             push!(v1);
             push!(v2);
         }
-        Op::IAdd
-        | Op::ISub
-        | Op::IMul
-        | Op::IDiv
-        | Op::IRem
-        | Op::IShl
-        | Op::IShr
-        | Op::IUshr
-        | Op::IAnd
-        | Op::IOr
-        | Op::IXor => {
+        Xop::IAdd
+        | Xop::ISub
+        | Xop::IMul
+        | Xop::IDiv
+        | Xop::IRem
+        | Xop::IShl
+        | Xop::IShr
+        | Xop::IUshr
+        | Xop::IAnd
+        | Xop::IOr
+        | Xop::IXor => {
             let b = pop!().as_int();
             let a = pop!().as_int();
-            let class = match op {
-                Op::IMul => InstClass::IntMul,
-                Op::IDiv | Op::IRem => InstClass::IntDiv,
+            let class = match inst.op {
+                Xop::IMul => InstClass::IntMul,
+                Xop::IDiv | Xop::IRem => InstClass::IntDiv,
                 _ => InstClass::IntAlu,
             };
             em.alu(sink, class);
-            let r = match op {
-                Op::IAdd => a.wrapping_add(b),
-                Op::ISub => a.wrapping_sub(b),
-                Op::IMul => a.wrapping_mul(b),
-                Op::IDiv => {
+            let r = match inst.op {
+                Xop::IAdd => a.wrapping_add(b),
+                Xop::ISub => a.wrapping_sub(b),
+                Xop::IMul => a.wrapping_mul(b),
+                Xop::IDiv => {
                     if b == 0 {
                         return Err(VmError::DivideByZero {
                             method: method_name(env, mid),
@@ -318,7 +286,7 @@ pub(crate) fn step(
                     }
                     a.wrapping_div(b)
                 }
-                Op::IRem => {
+                Xop::IRem => {
                     if b == 0 {
                         return Err(VmError::DivideByZero {
                             method: method_name(env, mid),
@@ -327,156 +295,134 @@ pub(crate) fn step(
                     }
                     a.wrapping_rem(b)
                 }
-                Op::IShl => a.wrapping_shl(b as u32 & 31),
-                Op::IShr => a.wrapping_shr(b as u32 & 31),
-                Op::IUshr => ((a as u32) >> (b as u32 & 31)) as i32,
-                Op::IAnd => a & b,
-                Op::IOr => a | b,
-                Op::IXor => a ^ b,
+                Xop::IShl => a.wrapping_shl(b as u32 & 31),
+                Xop::IShr => a.wrapping_shr(b as u32 & 31),
+                Xop::IUshr => ((a as u32) >> (b as u32 & 31)) as i32,
+                Xop::IAnd => a & b,
+                Xop::IOr => a | b,
+                Xop::IXor => a ^ b,
                 _ => unreachable!(),
             };
             push!(Value::Int(r));
         }
-        Op::INeg => {
+        Xop::INeg => {
             let a = pop!().as_int();
             em.alu(sink, InstClass::IntAlu);
             push!(Value::Int(a.wrapping_neg()));
         }
-        Op::IInc(n, d) => {
-            let n = usize::from(*n);
+        Xop::IInc(n, d) => {
+            let n = usize::from(n);
             let addr = thread.frame().local_addr(n);
             em.local_read(sink, n, addr);
             em.alu(sink, InstClass::IntAlu);
             em.local_write(sink, n, addr);
             let f = thread.frame_mut();
-            f.locals[n] = Value::Int(f.locals[n].as_int().wrapping_add(i32::from(*d)));
+            f.locals[n] = Value::Int(f.locals[n].as_int().wrapping_add(i32::from(d)));
         }
-        Op::If(cond, t) => {
+        Xop::If(cond, t) => {
             let v = pop!().as_int();
             let taken = cond.eval(v, 0);
-            em.cond_branch(sink, taken, *t);
+            em.cond_branch(sink, taken, branch);
             if taken {
-                next_pc = *t;
+                next_pc = t;
             }
         }
-        Op::IfICmp(cond, t) => {
+        Xop::IfICmp(cond, t) => {
             let b = pop!().as_int();
             let a = pop!().as_int();
             let taken = cond.eval(a, b);
-            em.cond_branch(sink, taken, *t);
+            em.cond_branch(sink, taken, branch);
             if taken {
-                next_pc = *t;
+                next_pc = t;
             }
         }
-        Op::IfNull(t) | Op::IfNonNull(t) => {
+        Xop::IfNull(t) | Xop::IfNonNull(t) => {
             let v = pop!();
             let is_null = matches!(v, Value::Null);
-            let taken = if matches!(op, Op::IfNull(_)) {
+            let taken = if matches!(inst.op, Xop::IfNull(_)) {
                 is_null
             } else {
                 !is_null
             };
-            em.cond_branch(sink, taken, *t);
+            em.cond_branch(sink, taken, branch);
             if taken {
-                next_pc = *t;
+                next_pc = t;
             }
         }
-        Op::IfACmpEq(t) | Op::IfACmpNe(t) => {
+        Xop::IfACmpEq(t) | Xop::IfACmpNe(t) => {
             let b = pop!();
             let a = pop!();
             let eq = a == b;
-            let taken = if matches!(op, Op::IfACmpEq(_)) {
+            let taken = if matches!(inst.op, Xop::IfACmpEq(_)) {
                 eq
             } else {
                 !eq
             };
-            em.cond_branch(sink, taken, *t);
+            em.cond_branch(sink, taken, branch);
             if taken {
-                next_pc = *t;
+                next_pc = t;
             }
         }
-        Op::Goto(t) => {
-            em.goto_(sink, *t);
-            next_pc = *t;
+        Xop::Goto(t) => {
+            em.goto_(sink, branch);
+            next_pc = t;
         }
-        Op::TableSwitch {
-            low,
-            default,
-            targets,
-        } => {
+        Xop::TableSwitch(i) => {
             let key = pop!().as_int();
-            let idx = key.wrapping_sub(*low);
-            let target = if idx >= 0 && (idx as usize) < targets.len() {
-                targets[idx as usize]
+            let method = env.code.get(mid);
+            let sw = method.switches[i as usize];
+            let idx = key.wrapping_sub(sw.low);
+            let target = if idx >= 0 && (idx as u32) < sw.count {
+                method.switch_targets[(sw.start + idx as u32) as usize]
             } else {
-                *default
+                sw.default
             };
-            em.switch(sink, target, targets.len());
+            let native = if jit_frame {
+                env.jit
+                    .compiled(mid, thread.id)
+                    .map_or(0, |cm| cm.addr(target))
+            } else {
+                0
+            };
+            em.switch(sink, native);
             next_pc = target;
         }
-        Op::New(cp) => {
-            let cname = pool
-                .class_ref(*cp)
-                .map_err(|e| VmError::Internal(e.to_string()))?;
-            let cid = program.class(cname).expect("verified class");
+        Xop::New(cid) => {
             let loaded = env.linker.ensure_loaded(cid, program, env.heap, sink);
-            *env.classload_insts += loaded;
+            env.counters.classload_insts += loaded;
             let nfields = env.linker.class(cid).num_fields();
             let h = env.heap.alloc_object(cid, nfields).map_err(VmError::Heap)?;
             let addr = env.heap.header_addr(h).expect("fresh object");
             em.alloc(sink, addr, 8 + 4 * nfields as u32);
             push!(Value::Ref(h));
         }
-        Op::GetField(cp) => {
-            let (_, fname) = pool
-                .field_ref(*cp)
-                .map_err(|e| VmError::Internal(e.to_string()))?;
+        Xop::GetField(site) => {
             let objv = pop!();
             let h = npe!(objv);
             let rcls = env.heap.class_of(h).map_err(VmError::Heap)?;
-            let slot = env
-                .linker
-                .class(rcls)
-                .field_slot(fname)
-                .ok_or_else(|| VmError::Internal(format!("field {fname} missing")))?;
+            let slot = field_slot(env, mid, site, rcls)?;
             let addr = env.heap.field_addr(h, slot).map_err(VmError::Heap)?;
             em.heap_load(sink, addr, 4);
             let v = env.heap.get_field(h, slot).map_err(VmError::Heap)?;
             push!(v);
         }
-        Op::PutField(cp) => {
-            let (_, fname) = pool
-                .field_ref(*cp)
-                .map_err(|e| VmError::Internal(e.to_string()))?;
+        Xop::PutField(site) => {
             let v = pop!();
             let objv = pop!();
             let h = npe!(objv);
             let rcls = env.heap.class_of(h).map_err(VmError::Heap)?;
-            let slot = env
-                .linker
-                .class(rcls)
-                .field_slot(fname)
-                .ok_or_else(|| VmError::Internal(format!("field {fname} missing")))?;
+            let slot = field_slot(env, mid, site, rcls)?;
             let addr = env.heap.field_addr(h, slot).map_err(VmError::Heap)?;
             em.heap_store(sink, addr, 4);
             env.heap.set_field(h, slot, v).map_err(VmError::Heap)?;
             if env.gc_barriers && matches!(v, Value::Ref(_)) {
-                *env.gc_barrier_insts += em.ref_store_barrier(sink, crate::heap::card_addr(addr));
+                env.counters.gc_barrier_insts +=
+                    em.ref_store_barrier(sink, crate::heap::card_addr(addr));
             }
         }
-        Op::GetStatic(cp) | Op::PutStatic(cp) => {
-            let (cname, fname) = pool
-                .field_ref(*cp)
-                .map_err(|e| VmError::Internal(e.to_string()))?;
-            let cid = program.class(cname).expect("verified class");
-            let loaded = env.linker.ensure_loaded(cid, program, env.heap, sink);
-            *env.classload_insts += loaded;
-            let (owner, slot) = env
-                .linker
-                .resolve_static(program, cid, fname)
-                .ok_or_else(|| VmError::Internal(format!("static {cname}.{fname} missing")))?;
-            let addr = env.linker.static_slot_addr(owner, slot);
-            if matches!(op, Op::GetStatic(_)) {
+        Xop::GetStatic(site) | Xop::PutStatic(site) => {
+            let (owner, slot, addr) = static_slot(env, mid, site, sink)?;
+            if matches!(inst.op, Xop::GetStatic(_)) {
                 em.heap_load(sink, addr, 4);
                 let v = env.linker.get_static(owner, slot);
                 push!(v);
@@ -485,19 +431,19 @@ pub(crate) fn step(
                 em.heap_store(sink, addr, 4);
                 env.linker.set_static(owner, slot, v);
                 if env.gc_barriers && matches!(v, Value::Ref(_)) {
-                    *env.gc_barrier_insts +=
+                    env.counters.gc_barrier_insts +=
                         em.ref_store_barrier(sink, crate::heap::card_addr(addr));
                 }
             }
         }
-        Op::NewArray(kind) => {
+        Xop::NewArray(kind) => {
             let n = pop!().as_int();
-            let h = env.heap.alloc_array(*kind, n).map_err(VmError::Heap)?;
+            let h = env.heap.alloc_array(kind, n).map_err(VmError::Heap)?;
             let addr = env.heap.header_addr(h).expect("fresh array");
             em.alloc(sink, addr, 12 + kind.elem_size() * n.max(0) as u32);
             push!(Value::Ref(h));
         }
-        Op::ArrayLength => {
+        Xop::ArrayLength => {
             let objv = pop!();
             let h = npe!(objv);
             let len = env.heap.array_len(h).map_err(VmError::Heap)?;
@@ -505,7 +451,7 @@ pub(crate) fn step(
             em.heap_load(sink, addr, 4);
             push!(Value::Int(len as i32));
         }
-        Op::ArrLoad(kind) => {
+        Xop::ArrLoad(kind) => {
             let idx = pop!().as_int();
             let objv = pop!();
             let h = npe!(objv);
@@ -519,7 +465,7 @@ pub(crate) fn step(
                 Value::Int(raw)
             });
         }
-        Op::ArrStore(kind) => {
+        Xop::ArrStore(kind) => {
             let v = pop!();
             let idx = pop!().as_int();
             let objv = pop!();
@@ -534,47 +480,45 @@ pub(crate) fn step(
                 && matches!(kind, jrt_bytecode::ArrayKind::Ref)
                 && matches!(v, Value::Ref(_))
             {
-                *env.gc_barrier_insts += em.ref_store_barrier(sink, crate::heap::card_addr(addr));
+                env.counters.gc_barrier_insts +=
+                    em.ref_store_barrier(sink, crate::heap::card_addr(addr));
             }
         }
-        Op::InvokeStatic(cp) | Op::InvokeVirtual(cp) | Op::InvokeSpecial(cp) => {
-            let (cname, mname, nargs, ret_kind) = {
-                let (c, m, n, r) = pool
-                    .method_ref(*cp)
-                    .map_err(|e| VmError::Internal(e.to_string()))?;
-                (c.to_owned(), m.to_owned(), n, r)
-            };
-            let is_virtual = matches!(op, Op::InvokeVirtual(_));
-            let is_static = matches!(op, Op::InvokeStatic(_));
+        Xop::InvokeStatic(i) | Xop::InvokeVirtual(i) | Xop::InvokeSpecial(i) => {
+            let site = env.code.get(mid).invokes[i as usize];
+            let is_virtual = matches!(inst.op, Xop::InvokeVirtual(_));
+            let is_static = matches!(inst.op, Xop::InvokeStatic(_));
 
-            let declared_cid = program.class(&cname).expect("verified class");
             let loaded = env
                 .linker
-                .ensure_loaded(declared_cid, program, env.heap, sink);
-            *env.classload_insts += loaded;
+                .ensure_loaded(site.declared, program, env.heap, sink);
+            env.counters.classload_insts += loaded;
 
-            // Pop arguments (receiver first for instance calls).
-            let argc = usize::from(nargs) + usize::from(!is_static);
-            let mut args = Vec::with_capacity(argc);
-            for _ in 0..argc {
-                args.push(pop!());
+            // Pop the arguments (receiver first for instance calls)
+            // into the thread's argument scratch.
+            let argc = usize::from(site.nargs) + usize::from(!is_static);
+            {
+                let f = thread
+                    .frames
+                    .last_mut()
+                    .expect("running thread has a frame");
+                let base = f.stack.len() - argc;
+                for slot in (base..f.stack.len()).rev() {
+                    em.stack_pop(sink, f.stack_slot_addr(slot));
+                }
+                thread.args.clear();
+                thread.args.extend_from_slice(&f.stack[base..]);
+                f.stack.truncate(base);
             }
-            args.reverse();
 
             // Resolve the callee.
             let callee = if is_virtual {
-                let recv = args[0];
+                let recv = thread.args[0];
                 let h = npe!(recv);
                 let rcls = env.heap.class_of(h).map_err(VmError::Heap)?;
-                env.linker
-                    .class(rcls)
-                    .vtable_lookup(&mname)
-                    .or_else(|| program.resolve_method(&cname, &mname))
-                    .ok_or_else(|| VmError::Internal(format!("no target for {mname}")))?
+                virtual_target(env, mid, i, rcls)?
             } else {
-                program
-                    .resolve_method(&cname, &mname)
-                    .expect("verified method resolution")
+                site.resolved.expect("verified method resolution")
             };
             let callee_def = program.method_def(callee);
 
@@ -585,15 +529,26 @@ pub(crate) fn step(
                     + (u64::from(callee.class.0) * 131 + u64::from(callee.index)) % 0x1000 * 16;
                 em.invoke(sink, InvokeKind::Direct, entry);
                 let mut n = 0u64;
-                let outcome =
-                    intrinsics::call(&cname, &mname, &args, env.heap, env.out, sink, &mut n)
-                        .map_err(|e| VmError::Intrinsic(format!("{e:?}")))?;
+                let outcome = match site.intrinsic {
+                    Some(which) => {
+                        intrinsics::call(which, &thread.args, env.heap, env.out, sink, &mut n)
+                    }
+                    None => {
+                        let (cname, mname, _, _) = program
+                            .class_file(mid.class)
+                            .pool
+                            .method_ref(site.cp)
+                            .map_err(|e| VmError::Internal(e.to_string()))?;
+                        Err(IntrinsicError::Unknown(format!("{cname}::{mname}")))
+                    }
+                }
+                .map_err(|e| VmError::Intrinsic(format!("{e:?}")))?;
                 em.ret(sink, 0);
-                charge(env, mid, jit_frame, em.count() + n);
+                charge(env, mid, jit_frame, em.count() + n, false);
                 thread.frame_mut().pc = next_pc;
                 return Ok(match outcome {
                     IntrinsicOutcome::Done(v) => {
-                        debug_assert_eq!(v.is_some(), ret_kind != RetKind::Void);
+                        debug_assert_eq!(v.is_some(), site.ret != RetKind::Void);
                         if let Some(rv) = v {
                             thread.frame_mut().stack.push(rv);
                         }
@@ -608,15 +563,15 @@ pub(crate) fn step(
             // (tiering, translation, touch bookkeeping) shared with
             // thread starts.
             let code_addr = env.linker.code_addr(callee);
-            let use_jit = env.jit.ensure_compiled(
+            let use_jit = prepare_callee(
+                program,
+                env.code,
+                env.jit,
                 env.mode,
                 env.profile,
-                crate::jit::CalleeSite {
-                    callee,
-                    tid: thread.id,
-                    def: callee_def,
-                    code_addr,
-                },
+                callee,
+                thread.id,
+                code_addr,
                 sink,
             );
 
@@ -628,7 +583,9 @@ pub(crate) fn step(
             let kind = if !is_virtual {
                 InvokeKind::Direct
             } else if jit_frame {
-                match env.jit.observe_call_site(mid, pc, callee) {
+                let site = &mut env.code.get_mut(mid).invokes[i as usize];
+                site.profile = site.profile.observe(callee);
+                match site.profile {
                     CallSite::Mono(_) => InvokeKind::VirtualMono,
                     _ => InvokeKind::VirtualPoly,
                 }
@@ -643,7 +600,7 @@ pub(crate) fn step(
                 Some(if callee_def.flags.is_static {
                     env.linker.class(callee.class).class_object
                 } else {
-                    args[0].as_ref().expect("receiver checked above")
+                    thread.args[0].as_ref().expect("receiver checked above")
                 })
             } else {
                 None
@@ -655,7 +612,9 @@ pub(crate) fn step(
                 });
             }
             thread.frame_mut().pc = next_pc;
-            thread.push_frame(callee, callee_def, args);
+            let args = std::mem::take(&mut thread.args);
+            thread.push_frame(callee, callee_def, &args);
+            thread.args = args;
             {
                 let f = thread.frame_mut();
                 f.jit = use_jit;
@@ -667,11 +626,11 @@ pub(crate) fn step(
             if env.profiling {
                 env.profile.record_invocation(callee);
             }
-            charge(env, mid, jit_frame, em.count());
+            charge(env, mid, jit_frame, em.count(), false);
             return Ok(StepOutcome::Continue);
         }
-        Op::Return | Op::IReturn | Op::AReturn => {
-            let value = if matches!(op, Op::Return) {
+        Xop::Return | Xop::IReturn | Xop::AReturn => {
+            let value = if matches!(inst.op, Xop::Return) {
                 None
             } else {
                 Some(pop!())
@@ -689,7 +648,7 @@ pub(crate) fn step(
             if thread.is_done() {
                 thread.result = value;
                 thread.status = ThreadStatus::Done;
-                charge(env, mid, jit_frame, em.count());
+                charge(env, mid, jit_frame, em.count(), false);
                 return Ok(StepOutcome::ThreadDone);
             }
             if let Some(v) = value {
@@ -698,10 +657,10 @@ pub(crate) fn step(
                 let addr = f.stack_slot_addr(f.stack.len() - 1);
                 em.stack_push(sink, addr);
             }
-            charge(env, mid, jit_frame, em.count());
+            charge(env, mid, jit_frame, em.count(), false);
             return Ok(StepOutcome::Continue);
         }
-        Op::MonitorEnter => {
+        Xop::MonitorEnter => {
             let top = *thread.frame().stack.last().expect("verified stack");
             let h = npe!(top);
             match env.sync.monitor_enter(h, thread.id) {
@@ -711,13 +670,14 @@ pub(crate) fn step(
                 }
                 EnterOutcome::Blocked { cost } => {
                     em.sync_op(sink, cost, lock_addr(env, h));
-                    charge(env, mid, jit_frame, em.count());
+                    charge(env, mid, jit_frame, em.count(), false);
                     thread.status = ThreadStatus::Blocked(h);
                     return Ok(StepOutcome::Blocked);
                 }
             }
         }
-        Op::MonitorExit => {
+        Xop::Inside => unreachable!("verified control flow lands on instruction boundaries"),
+        Xop::MonitorExit => {
             let v = pop!();
             let h = npe!(v);
             match env.sync.monitor_exit(h, thread.id) {
@@ -731,47 +691,139 @@ pub(crate) fn step(
 
     // Backward branches are the tiered policy's loop-hotness signal
     // (invoke/return paths exit earlier, so only branches land here).
-    if env.profiling && next_pc < pc {
-        env.profile.get_mut(mid).backedges += 1;
-    }
     thread.frame_mut().pc = next_pc;
-    charge(env, mid, jit_frame, em.count());
+    charge(env, mid, jit_frame, em.count(), next_pc < pc);
     Ok(StepOutcome::Continue)
 }
 
-/// Simple bytecodes the picoJava folding unit can fuse: constants,
-/// local moves, stack shuffles, and ALU operations.
-fn is_foldable(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Nop
-            | Op::IConst(_)
-            | Op::AConstNull
-            | Op::ILoad(_)
-            | Op::IStore(_)
-            | Op::ALoad(_)
-            | Op::AStore(_)
-            | Op::Pop
-            | Op::Dup
-            | Op::DupX1
-            | Op::Swap
-            | Op::IAdd
-            | Op::ISub
-            | Op::IMul
-            | Op::IDiv
-            | Op::IRem
-            | Op::INeg
-            | Op::IShl
-            | Op::IShr
-            | Op::IUshr
-            | Op::IAnd
-            | Op::IOr
-            | Op::IXor
-            | Op::IInc(_, _)
-    )
+/// The instance-field slot site `site` of `mid` names in receiver
+/// class `rcls`, through the site's one-entry class cache.
+fn field_slot(
+    env: &mut StepEnv<'_>,
+    mid: MethodId,
+    site: u32,
+    rcls: ClassId,
+) -> Result<usize, VmError> {
+    let s = &mut env.code.get_mut(mid).fields[site as usize];
+    if let Some((c, slot)) = s.cache {
+        if c == rcls {
+            return Ok(slot);
+        }
+    }
+    let (_, fname) = env
+        .program
+        .class_file(mid.class)
+        .pool
+        .field_ref(s.cp)
+        .map_err(|e| VmError::Internal(e.to_string()))?;
+    let slot = env
+        .linker
+        .class(rcls)
+        .field_slot(fname)
+        .ok_or_else(|| VmError::Internal(format!("field {fname} missing")))?;
+    s.cache = Some((rcls, slot));
+    Ok(slot)
 }
 
-fn charge(env: &mut StepEnv<'_>, mid: jrt_bytecode::MethodId, jit_frame: bool, count: u64) {
+/// The owner class, slot and address of static site `site` of `mid`,
+/// loading the class and resolving the name on first execution.
+fn static_slot(
+    env: &mut StepEnv<'_>,
+    mid: MethodId,
+    site: u32,
+    sink: &mut impl TraceSink,
+) -> Result<(ClassId, usize, Addr), VmError> {
+    let s = env.code.get(mid).statics[site as usize];
+    if let Some(r) = s.resolved {
+        return Ok(r);
+    }
+    let loaded = env
+        .linker
+        .ensure_loaded(s.class, env.program, env.heap, sink);
+    env.counters.classload_insts += loaded;
+    let (cname, fname) = env
+        .program
+        .class_file(mid.class)
+        .pool
+        .field_ref(s.cp)
+        .map_err(|e| VmError::Internal(e.to_string()))?;
+    let (owner, slot) = env
+        .linker
+        .resolve_static(env.program, s.class, fname)
+        .ok_or_else(|| VmError::Internal(format!("static {cname}.{fname} missing")))?;
+    let r = (owner, slot, env.linker.static_slot_addr(owner, slot));
+    env.code.get_mut(mid).statics[site as usize].resolved = Some(r);
+    Ok(r)
+}
+
+/// The method invoke site `site` of `mid` reaches for a receiver of
+/// class `rcls`, through the site's one-entry class cache.
+fn virtual_target(
+    env: &mut StepEnv<'_>,
+    mid: MethodId,
+    site: u32,
+    rcls: ClassId,
+) -> Result<MethodId, VmError> {
+    let s = &mut env.code.get_mut(mid).invokes[site as usize];
+    if let Some((c, target)) = s.cache {
+        if c == rcls {
+            return Ok(target);
+        }
+    }
+    let (_, mname, _, _) = env
+        .program
+        .class_file(mid.class)
+        .pool
+        .method_ref(s.cp)
+        .map_err(|e| VmError::Internal(e.to_string()))?;
+    let target = env
+        .linker
+        .class(rcls)
+        .vtable_lookup(mname)
+        .or(s.resolved)
+        .ok_or_else(|| VmError::Internal(format!("no target for {mname}")))?;
+    s.cache = Some((rcls, target));
+    Ok(target)
+}
+
+/// Readies `callee` for a new frame — decodes it, lets the JIT policy
+/// translate or lower it, and records its IR plan in IR modes — and
+/// returns whether the frame runs translated code. The one decision
+/// point shared by invokes and thread starts.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn prepare_callee(
+    program: &Program,
+    code: &mut CodeTable,
+    jit: &mut JitState,
+    mode: &ExecMode,
+    profile: &mut ProfileTable,
+    callee: MethodId,
+    tid: u16,
+    code_addr: Addr,
+    sink: &mut impl TraceSink,
+) -> bool {
+    let method = code.ensure(program, callee);
+    let use_jit = jit.ensure_compiled(
+        mode,
+        profile,
+        CalleeSite {
+            callee,
+            tid,
+            def: program.method_def(callee),
+            code: &*method,
+            code_addr,
+        },
+        sink,
+    );
+    if mode.is_ir() && !method.lowered {
+        let lm = jit.lowered(callee).expect("IR modes lower before stepping");
+        method.attach_ir(&lm.ir, lm.base);
+    }
+    use_jit
+}
+
+#[inline]
+fn charge(env: &mut StepEnv<'_>, mid: MethodId, jit_frame: bool, count: u64, backedge: bool) {
     if env.profiling {
         let p = env.profile.get_mut(mid);
         if jit_frame {
@@ -779,10 +831,11 @@ fn charge(env: &mut StepEnv<'_>, mid: jrt_bytecode::MethodId, jit_frame: bool, c
         } else {
             p.interp_cycles += count;
         }
+        p.backedges += u64::from(backedge);
     }
 }
 
-fn method_name(env: &StepEnv<'_>, mid: jrt_bytecode::MethodId) -> String {
+fn method_name(env: &StepEnv<'_>, mid: MethodId) -> String {
     let cf = env.program.class_file(mid.class);
     format!("{}::{}", cf.name, cf.methods[mid.index as usize].name)
 }

@@ -87,6 +87,21 @@ pub struct ThreadState {
     /// bytecode must dispatch).
     pub fold_run: u8,
     cursor: Addr,
+    /// Popped frames kept for reuse, so a call allocates nothing once
+    /// the thread has reached its deepest activation.
+    spare: Vec<Frame>,
+    /// Scratch for the arguments an invoke pops off the caller's
+    /// operand stack before the callee's frame exists.
+    pub(crate) args: Vec<Value>,
+}
+
+/// What a caller needs from a popped activation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoppedFrame {
+    /// Monitor the frame held (synchronized methods).
+    pub sync_obj: Option<Handle>,
+    /// Native return address into the caller.
+    pub ret_to: Addr,
 }
 
 impl ThreadState {
@@ -109,25 +124,35 @@ impl ThreadState {
             last_opcode: 0,
             fold_run: 0,
             cursor: base,
+            spare: Vec::new(),
+            args: Vec::new(),
         }
     }
 
-    /// Pushes a frame for `method`, moving `args` into its first
-    /// local slots.
-    pub fn push_frame(&mut self, method: MethodId, def: &MethodDef, args: Vec<Value>) -> &Frame {
+    /// Pushes a frame for `method`, copying `args` into its first
+    /// local slots. Reuses the storage of a previously popped frame
+    /// when one is available.
+    pub fn push_frame(&mut self, method: MethodId, def: &MethodDef, args: &[Value]) -> &Frame {
         let max_locals = usize::from(def.max_locals.max(def.arg_slots()));
-        let mut locals = vec![Value::Null; max_locals];
-        locals[..args.len()].copy_from_slice(&args);
-
         let locals_addr = self.cursor + FRAME_HEADER;
         let stack_addr = locals_addr + 4 * max_locals as u64;
         self.cursor = stack_addr + 4 * u64::from(def.max_stack.max(4));
+
+        let (mut locals, mut stack) = match self.spare.pop() {
+            Some(f) => (f.locals, f.stack),
+            None => (Vec::new(), Vec::new()),
+        };
+        locals.clear();
+        locals.resize(max_locals, Value::Null);
+        locals[..args.len()].copy_from_slice(args);
+        stack.clear();
+        stack.reserve(usize::from(def.max_stack));
 
         self.frames.push(Frame {
             method,
             pc: 0,
             locals,
-            stack: Vec::with_capacity(usize::from(def.max_stack)),
+            stack,
             locals_addr,
             stack_addr,
             sync_obj: None,
@@ -138,15 +163,21 @@ impl ThreadState {
         self.frames.last().expect("just pushed")
     }
 
-    /// Pops the current frame, releasing its stack space.
+    /// Pops the current frame, releasing its stack space and keeping
+    /// its storage for the next push.
     ///
     /// # Panics
     ///
     /// Panics if there is no frame.
-    pub fn pop_frame(&mut self) -> Frame {
+    pub fn pop_frame(&mut self) -> PoppedFrame {
         let f = self.frames.pop().expect("frame to pop");
         self.cursor = f.locals_addr - FRAME_HEADER;
-        f
+        let popped = PoppedFrame {
+            sync_obj: f.sync_obj,
+            ret_to: f.ret_to,
+        };
+        self.spare.push(f);
+        popped
     }
 
     /// The current frame.
@@ -215,14 +246,14 @@ mod tests {
     #[test]
     fn frames_nest_and_release() {
         let mut t = ThreadState::new(0);
-        t.push_frame(mid(), &def(4, 4), vec![Value::Int(1)]);
+        t.push_frame(mid(), &def(4, 4), &[Value::Int(1)]);
         let outer_stack = t.frame().stack_addr;
-        t.push_frame(mid(), &def(2, 2), vec![Value::Int(2)]);
+        t.push_frame(mid(), &def(2, 2), &[Value::Int(2)]);
         assert!(t.frame().locals_addr > outer_stack);
         assert_eq!(t.call_depth(), 2);
         t.pop_frame();
         // Pushing again reuses the released space.
-        t.push_frame(mid(), &def(2, 2), vec![Value::Int(3)]);
+        t.push_frame(mid(), &def(2, 2), &[Value::Int(3)]);
         assert_eq!(t.frame().locals[0], Value::Int(3));
         t.pop_frame();
         t.pop_frame();
@@ -233,8 +264,8 @@ mod tests {
     fn addresses_are_per_thread() {
         let mut a = ThreadState::new(0);
         let mut b = ThreadState::new(1);
-        a.push_frame(mid(), &def(2, 2), vec![Value::Null]);
-        b.push_frame(mid(), &def(2, 2), vec![Value::Null]);
+        a.push_frame(mid(), &def(2, 2), &[Value::Null]);
+        b.push_frame(mid(), &def(2, 2), &[Value::Null]);
         assert!(b.frame().locals_addr - a.frame().locals_addr >= THREAD_STACK_SIZE);
         for f in [a.frame(), b.frame()] {
             assert_eq!(
@@ -247,7 +278,7 @@ mod tests {
     #[test]
     fn args_fill_leading_locals() {
         let mut t = ThreadState::new(0);
-        t.push_frame(mid(), &def(5, 2), vec![Value::Int(7), Value::Ref(3)]);
+        t.push_frame(mid(), &def(5, 2), &[Value::Int(7), Value::Ref(3)]);
         assert_eq!(t.frame().locals[0], Value::Int(7));
         assert_eq!(t.frame().locals[1], Value::Ref(3));
         assert_eq!(t.frame().locals[4], Value::Null);
@@ -256,7 +287,7 @@ mod tests {
     #[test]
     fn roots_cover_locals_stack_and_sync() {
         let mut t = ThreadState::new(0);
-        t.push_frame(mid(), &def(2, 4), vec![Value::Ref(11)]);
+        t.push_frame(mid(), &def(2, 4), &[Value::Ref(11)]);
         t.frame_mut().stack.push(Value::Ref(22));
         t.frame_mut().sync_obj = Some(33);
         let roots: Vec<Handle> = t.roots().collect();
@@ -268,7 +299,7 @@ mod tests {
     #[test]
     fn slot_addresses_are_contiguous() {
         let mut t = ThreadState::new(0);
-        t.push_frame(mid(), &def(3, 4), vec![Value::Null]);
+        t.push_frame(mid(), &def(3, 4), &[Value::Null]);
         let f = t.frame();
         assert_eq!(f.local_addr(1) - f.local_addr(0), 4);
         assert_eq!(f.stack_slot_addr(1) - f.stack_slot_addr(0), 4);

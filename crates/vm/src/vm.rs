@@ -1,10 +1,11 @@
 //! The VM facade: scheduler, GC triggering, thread lifecycle, and
 //! run-level reporting.
 
+use crate::code::CodeTable;
 use crate::config::{ExecMode, SyncKind, VmConfig};
 use crate::gc;
 use crate::heap::{Heap, HeapError, Value};
-use crate::jit::{self, JitState};
+use crate::jit::JitState;
 use crate::loader::Linker;
 use crate::step::{self, StepOutcome};
 use crate::thread::{ThreadState, ThreadStatus};
@@ -265,24 +266,25 @@ pub struct ObservedRun {
 }
 
 /// Everything one [`step`](crate::step) needs, split by field so the
-/// borrow checker can see the disjointness.
+/// borrow checker can see the disjointness. Built once per scheduling
+/// slice, not per bytecode.
 pub(crate) struct StepEnv<'a> {
     pub program: &'a Program,
     pub linker: &'a mut Linker,
     pub heap: &'a mut Heap,
     pub jit: &'a mut JitState,
+    pub code: &'a mut CodeTable,
     pub sync: &'a mut dyn SyncEngine,
     pub profile: &'a mut ProfileTable,
     pub mode: &'a ExecMode,
     pub profiling: bool,
     pub out: &'a mut Output,
-    pub classload_insts: &'a mut u64,
+    pub counters: &'a mut VmCounters,
     pub folding: bool,
     pub opcode_counts: &'a mut Option<Vec<u64>>,
     /// Whether reference stores emit card-marking write barriers
     /// (true exactly when the generational GC is configured).
     pub gc_barriers: bool,
-    pub gc_barrier_insts: &'a mut u64,
 }
 
 /// The `javart` virtual machine. See the crate docs for the model.
@@ -292,6 +294,7 @@ pub struct Vm<'p> {
     heap: Heap,
     linker: Linker,
     jit: JitState,
+    code: CodeTable,
     sync: Box<dyn SyncEngine + Send>,
     profile: ProfileTable,
     counters: VmCounters,
@@ -329,6 +332,7 @@ impl<'p> Vm<'p> {
             heap,
             linker: Linker::new(program.num_classes()),
             jit,
+            code: CodeTable::new(program.num_classes()),
             sync,
             profile: ProfileTable::new(),
             counters: VmCounters::default(),
@@ -367,6 +371,7 @@ impl<'p> Vm<'p> {
             self.heap.sabotage_drop_barrier(n);
         }
         self.linker = Linker::new(program.num_classes());
+        self.code = CodeTable::new(program.num_classes());
         self.sync = match self.config.sync {
             SyncKind::MonitorCache => Box::new(FatLockEngine::new()),
             SyncKind::ThinLock => Box::new(ThinLockEngine::new()),
@@ -420,8 +425,8 @@ impl<'p> Vm<'p> {
     fn start_thread(
         &mut self,
         method: MethodId,
-        args: Vec<Value>,
-        sink: &mut dyn TraceSink,
+        args: &[Value],
+        sink: &mut impl TraceSink,
     ) -> Result<u16, VmError> {
         let tid = self.threads.len() as u16;
         let def = self.program.method_def(method);
@@ -429,15 +434,15 @@ impl<'p> Vm<'p> {
             return Err(VmError::Internal("thread root cannot be native".into()));
         }
         let code_addr = self.linker.code_addr(method);
-        let use_jit = self.jit.ensure_compiled(
+        let use_jit = step::prepare_callee(
+            self.program,
+            &mut self.code,
+            &mut self.jit,
             &self.config.mode,
             &mut self.profile,
-            jit::CalleeSite {
-                callee: method,
-                tid,
-                def,
-                code_addr,
-            },
+            method,
+            tid,
+            code_addr,
             sink,
         );
         let mut thread = ThreadState::new(tid);
@@ -461,43 +466,9 @@ impl<'p> Vm<'p> {
         Ok(tid)
     }
 
-    fn run_gc(&mut self, sink: &mut dyn TraceSink) {
+    fn run_gc(&mut self, sink: &mut impl TraceSink) {
         let r = gc::collect(&mut self.heap, &self.threads, &self.linker, sink);
-        self.count_gc(&r);
-    }
-
-    fn count_gc(&mut self, r: &gc::GcResult) {
-        self.counters.gc_runs += 1;
-        self.counters.gc_freed_bytes += r.freed_bytes;
-        self.counters.gc_copied_bytes += r.copied_bytes;
-        self.counters.gc_insts += r.emitted;
-        if r.truncated {
-            self.counters.gc_emission_truncated += 1;
-        }
-    }
-
-    /// Drains the generational heap's pending-collection requests.
-    /// Allocation never collects mid-bytecode (a nursery overflow
-    /// pretenures and *requests* a collection); the scheduler calls
-    /// this at the next bytecode boundary, where thread roots are
-    /// coherent. A minor collection that overflows the tenured budget
-    /// chains into a major one, which is why this drains a loop.
-    fn run_pending_gc(&mut self, sink: &mut dyn TraceSink) -> Result<(), VmError> {
-        while let Some(kind) = self.heap.take_gc_pending() {
-            let r = match kind {
-                crate::heap::GcKind::Minor => {
-                    self.counters.gc_minor += 1;
-                    gc::minor_collect(&mut self.heap, &self.threads, &self.linker, sink)
-                        .map_err(VmError::Heap)?
-                }
-                crate::heap::GcKind::Major => {
-                    self.counters.gc_major += 1;
-                    gc::major_collect(&mut self.heap, &self.threads, &self.linker, sink)
-                }
-            };
-            self.count_gc(&r);
-        }
-        Ok(())
+        count_gc(&mut self.counters, &r);
     }
 
     /// Runs the program to completion, streaming the native trace into
@@ -511,7 +482,10 @@ impl<'p> Vm<'p> {
     ///
     /// Returns the first runtime fault; see [`VmError`].
     pub fn run(&mut self, sink: &mut impl TraceSink) -> Result<RunResult, VmError> {
-        self.run_dyn(sink as &mut dyn TraceSink)
+        let outcome = self.run_threads(sink);
+        outcome?;
+        sink.finish();
+        Ok(self.build_result())
     }
 
     /// Runs the program and extracts the engine-independent
@@ -522,7 +496,7 @@ impl<'p> Vm<'p> {
     /// nothing for it.
     pub fn run_observed(&mut self, sink: &mut impl TraceSink) -> ObservedRun {
         self.opcode_counts = Some(vec![0; Op::NUM_OPCODES]);
-        let result = self.run_dyn(sink as &mut dyn TraceSink);
+        let result = self.run(sink);
         let (outcome, output, counters) = match result {
             Ok(r) => (Ok(r.exit_value), r.output, r.counters),
             Err(e) => {
@@ -564,7 +538,8 @@ impl<'p> Vm<'p> {
         }
     }
 
-    fn run_dyn(&mut self, sink: &mut dyn TraceSink) -> Result<RunResult, VmError> {
+    /// The round-robin scheduler: runs every thread to completion.
+    fn run_threads(&mut self, sink: &mut impl TraceSink) -> Result<(), VmError> {
         if !self.threads.is_empty() {
             return Err(VmError::Internal(
                 "Vm::run called again without Vm::reset".into(),
@@ -575,9 +550,8 @@ impl<'p> Vm<'p> {
         self.counters.classload_insts +=
             self.linker
                 .ensure_loaded(entry.class, self.program, &mut self.heap, sink);
-        self.start_thread(entry, Vec::new(), sink)?;
+        self.start_thread(entry, &[], sink)?;
 
-        // Round-robin scheduler.
         loop {
             let mut progressed = false;
             let mut all_done = true;
@@ -609,45 +583,14 @@ impl<'p> Vm<'p> {
                     self.run_gc(sink);
                 }
 
-                for _ in 0..self.config.quantum {
-                    if let Some(fuel) = self.config.fuel {
-                        if self.counters.bytecodes >= fuel {
-                            return Err(VmError::FuelExhausted { budget: fuel });
-                        }
-                    }
-                    if self.counters.bytecodes >= self.config.max_bytecodes {
-                        return Err(VmError::BudgetExceeded);
-                    }
-                    let outcome = {
-                        let mut env = StepEnv {
-                            program: self.program,
-                            linker: &mut self.linker,
-                            heap: &mut self.heap,
-                            jit: &mut self.jit,
-                            sync: self.sync.as_mut(),
-                            profile: &mut self.profile,
-                            mode: &self.config.mode,
-                            profiling: self.config.profiling,
-                            out: &mut self.out,
-                            classload_insts: &mut self.counters.classload_insts,
-                            folding: self.config.folding,
-                            opcode_counts: &mut self.opcode_counts,
-                            gc_barriers: self.config.gc.is_generational(),
-                            gc_barrier_insts: &mut self.counters.gc_barrier_insts,
-                        };
-                        step::step(&mut env, &mut self.threads[tid], sink)?
-                    };
-                    self.counters.bytecodes += 1;
-                    if self.heap.is_generational() {
-                        self.run_pending_gc(sink)?;
-                    }
+                let mut quantum = self.config.quantum;
+                while quantum > 0 {
+                    let (ran, outcome) = self.run_slice(tid, quantum, &mut progressed, sink)?;
+                    quantum -= ran;
+                    let Some(outcome) = outcome else { break };
                     match outcome {
-                        StepOutcome::Continue => {
-                            progressed = true;
-                        }
-                        StepOutcome::Blocked => {
-                            break;
-                        }
+                        StepOutcome::Continue => unreachable!("slices run through Continue"),
+                        StepOutcome::Blocked => break,
                         StepOutcome::ThreadDone => {
                             progressed = true;
                             break;
@@ -662,7 +605,7 @@ impl<'p> Vm<'p> {
                                     .ok_or_else(|| {
                                         VmError::Intrinsic("spawn target has no run()".into())
                                     })?;
-                            let new_tid = self.start_thread(run, vec![Value::Ref(target)], sink)?;
+                            let new_tid = self.start_thread(run, &[Value::Ref(target)], sink)?;
                             self.threads[tid]
                                 .frame_mut()
                                 .stack
@@ -691,9 +634,59 @@ impl<'p> Vm<'p> {
                 return Err(VmError::Deadlock);
             }
         }
+        Ok(())
+    }
 
-        sink.finish();
-        Ok(self.build_result())
+    /// Steps thread `tid` at most `budget` times, stopping at the
+    /// first step that asks the scheduler to act (block, finish,
+    /// spawn, join). Returns the steps taken and that outcome, `None`
+    /// when the budget ran out; sets `progressed` once a step
+    /// continues.
+    fn run_slice(
+        &mut self,
+        tid: usize,
+        budget: u32,
+        progressed: &mut bool,
+        sink: &mut impl TraceSink,
+    ) -> Result<(u32, Option<StepOutcome>), VmError> {
+        let fuel = self.config.fuel;
+        let max_bytecodes = self.config.max_bytecodes;
+        let mut env = StepEnv {
+            program: self.program,
+            linker: &mut self.linker,
+            heap: &mut self.heap,
+            jit: &mut self.jit,
+            code: &mut self.code,
+            sync: self.sync.as_mut(),
+            profile: &mut self.profile,
+            mode: &self.config.mode,
+            profiling: self.config.profiling,
+            out: &mut self.out,
+            counters: &mut self.counters,
+            folding: self.config.folding,
+            opcode_counts: &mut self.opcode_counts,
+            gc_barriers: self.config.gc.is_generational(),
+        };
+        for ran in 1..=budget {
+            if let Some(fuel) = fuel {
+                if env.counters.bytecodes >= fuel {
+                    return Err(VmError::FuelExhausted { budget: fuel });
+                }
+            }
+            if env.counters.bytecodes >= max_bytecodes {
+                return Err(VmError::BudgetExceeded);
+            }
+            let outcome = step::step(&mut env, &mut self.threads[tid], sink)?;
+            env.counters.bytecodes += 1;
+            if env.heap.is_generational() {
+                run_pending_gc(env.heap, &self.threads, env.linker, env.counters, sink)?;
+            }
+            if outcome != StepOutcome::Continue {
+                return Ok((ran, Some(outcome)));
+            }
+            *progressed = true;
+        }
+        Ok((budget, None))
     }
 
     /// Folds the JIT-side tallies into [`VmCounters`]; shared by the
@@ -751,6 +744,45 @@ impl<'p> Vm<'p> {
             mode: self.config.mode.label(),
         }
     }
+}
+
+fn count_gc(counters: &mut VmCounters, r: &gc::GcResult) {
+    counters.gc_runs += 1;
+    counters.gc_freed_bytes += r.freed_bytes;
+    counters.gc_copied_bytes += r.copied_bytes;
+    counters.gc_insts += r.emitted;
+    if r.truncated {
+        counters.gc_emission_truncated += 1;
+    }
+}
+
+/// Drains the generational heap's pending-collection requests.
+/// Allocation never collects mid-bytecode (a nursery overflow
+/// pretenures and *requests* a collection); the scheduler calls this
+/// at the next bytecode boundary, where thread roots are coherent. A
+/// minor collection that overflows the tenured budget chains into a
+/// major one, which is why this drains a loop.
+fn run_pending_gc(
+    heap: &mut Heap,
+    threads: &[ThreadState],
+    linker: &Linker,
+    counters: &mut VmCounters,
+    sink: &mut impl TraceSink,
+) -> Result<(), VmError> {
+    while let Some(kind) = heap.take_gc_pending() {
+        let r = match kind {
+            crate::heap::GcKind::Minor => {
+                counters.gc_minor += 1;
+                gc::minor_collect(heap, threads, linker, sink).map_err(VmError::Heap)?
+            }
+            crate::heap::GcKind::Major => {
+                counters.gc_major += 1;
+                gc::major_collect(heap, threads, linker, sink)
+            }
+        };
+        count_gc(counters, &r);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -502,6 +502,34 @@ fn divide_by_zero_is_reported() {
     assert!(matches!(err, VmError::DivideByZero { .. }));
 }
 
+/// A native method with no intrinsic behind it loads and resolves;
+/// invoking it is the fault, under every engine.
+#[test]
+fn unknown_intrinsic_fails_when_invoked() {
+    let mut sys = sys_class();
+    sys.add_method(MethodAsm::native("nope", 0, RetKind::Void));
+    let mut c = ClassAsm::new("Main");
+    let mut m = MethodAsm::new("main", 0).returns(RetKind::Int);
+    m.invokestatic("Sys", "nope", 0, RetKind::Void)
+        .iconst(0)
+        .ireturn();
+    c.add_method(m);
+    let p = Program::build(vec![c, sys], "Main", "main").unwrap();
+    for cfg in [
+        VmConfig::interpreter(),
+        VmConfig::jit(),
+        VmConfig::ir_interp(),
+        VmConfig::ir_jit(),
+    ] {
+        match Vm::new(&p, cfg).run(&mut CountingSink::new()) {
+            Err(VmError::Intrinsic(msg)) => {
+                assert!(msg.contains("Unknown(\"Sys::nope\")"), "{msg}");
+            }
+            other => panic!("expected an unknown-intrinsic fault, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn budget_exceeded_stops_infinite_loop() {
     let mut c = ClassAsm::new("Main");
