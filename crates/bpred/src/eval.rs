@@ -127,54 +127,58 @@ impl BranchEval {
     pub fn stats(&self) -> &BranchStats {
         &self.stats
     }
-}
 
-impl TraceSink for BranchEval {
-    fn accept(&mut self, inst: &NativeInst) {
-        let Some(ctrl) = inst.ctrl else { return };
-        match inst.class {
+    /// Predicts and trains on one instruction, counting it in
+    /// [`stats`](Self::stats). Returns whether a control transfer was
+    /// mispredicted, or `None` for anything else (including a transfer
+    /// class without a resolved outcome).
+    #[inline]
+    pub fn mispredicted(&mut self, inst: &NativeInst) -> Option<bool> {
+        let ctrl = inst.ctrl?;
+        let s = &mut self.stats;
+        let wrong = match inst.class {
             InstClass::CondBranch => {
-                self.stats.cond += 1;
+                s.cond += 1;
                 let predicted_taken = self.predictor.predict_and_update(inst.pc, ctrl.taken);
-                let mut wrong = predicted_taken != ctrl.taken;
-                if ctrl.taken {
-                    let target_ok = self.btb.predict_and_update(inst.pc, ctrl.target);
-                    if predicted_taken && !target_ok {
-                        wrong = true;
-                    }
-                }
-                if wrong {
-                    self.stats.cond_miss += 1;
-                }
+                let target_ok = !ctrl.taken || self.btb.predict_and_update(inst.pc, ctrl.target);
+                let wrong = predicted_taken != ctrl.taken || (predicted_taken && !target_ok);
+                s.cond_miss += u64::from(wrong);
+                wrong
             }
             InstClass::IndirectJump | InstClass::IndirectCall => {
-                self.stats.indirect += 1;
+                s.indirect += 1;
                 let correct = match &mut self.target_cache {
                     Some(tc) => tc.predict_and_update(inst.pc, ctrl.target),
                     None => self.btb.predict_and_update(inst.pc, ctrl.target),
                 };
-                if !correct {
-                    self.stats.indirect_miss += 1;
-                }
                 if inst.class == InstClass::IndirectCall {
                     self.ras.push(inst.pc + 4);
                 }
+                s.indirect_miss += u64::from(!correct);
+                !correct
             }
-            InstClass::Call => {
-                self.stats.direct += 1;
-                self.ras.push(inst.pc + 4);
-            }
-            InstClass::Jump => {
-                self.stats.direct += 1;
+            InstClass::Call | InstClass::Jump => {
+                s.direct += 1;
+                if inst.class == InstClass::Call {
+                    self.ras.push(inst.pc + 4);
+                }
+                false
             }
             InstClass::Ret => {
-                self.stats.rets += 1;
-                if self.ras.pop() != Some(ctrl.target) {
-                    self.stats.ret_miss += 1;
-                }
+                s.rets += 1;
+                let wrong = self.ras.pop() != Some(ctrl.target);
+                s.ret_miss += u64::from(wrong);
+                wrong
             }
-            _ => {}
-        }
+            _ => return None,
+        };
+        Some(wrong)
+    }
+}
+
+impl TraceSink for BranchEval {
+    fn accept(&mut self, inst: &NativeInst) {
+        self.mispredicted(inst);
     }
 }
 
@@ -253,6 +257,35 @@ mod tests {
         // Same direction, different target (e.g. rewritten code).
         e.accept(&NativeInst::branch(0x4000, 0x3800, true, P));
         assert_eq!(e.stats().cond_miss, before + 1);
+    }
+
+    #[test]
+    fn mispredicted_reports_transfers_only() {
+        let mut e = BranchEval::new(Box::new(Bht::paper()));
+        let mut alu_with_outcome = NativeInst::alu(0x4000, P);
+        alu_with_outcome.ctrl = NativeInst::jump(0x4000, 0x5000, P).ctrl;
+        assert_eq!(e.mispredicted(&alu_with_outcome), None);
+        assert_eq!(
+            e.mispredicted(&NativeInst::new(0x4000, InstClass::CondBranch, P)),
+            None,
+            "a transfer class without an outcome is not predicted"
+        );
+        assert_eq!(
+            e.mispredicted(&NativeInst::jump(0x4000, 0x5000, P)),
+            Some(false)
+        );
+        assert_eq!(
+            e.mispredicted(&NativeInst::indirect_jump(0x4004, 0x6000, P)),
+            Some(true),
+            "cold BTB"
+        );
+        assert_eq!(
+            e.mispredicted(&NativeInst::indirect_jump(0x4004, 0x6000, P)),
+            Some(false)
+        );
+        assert_eq!(e.stats().predicted_events(), 2);
+        assert_eq!(e.stats().mispredicts(), 1);
+        assert_eq!(e.stats().direct, 1);
     }
 
     #[test]

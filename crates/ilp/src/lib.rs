@@ -10,8 +10,8 @@
 //! * configurable fetch/issue/commit width,
 //! * per-class functional-unit latencies,
 //! * an integrated L1 I-/D-cache pair (misses add latency),
-//! * a direction predictor + BTB + return stack front end
-//!   (mispredictions redirect fetch after branch resolution), and
+//! * the paper's Gshare + BTB + return stack front end, with Table 2's
+//!   prediction rules (mispredictions redirect fetch after resolution), and
 //! * taken-branch fetch-group breaks (one taken transfer per cycle).
 //!
 //! The model is a greedy list scheduler over the dynamic trace — the

@@ -1,11 +1,18 @@
 //! The greedy out-of-order scheduling model.
 
 use crate::config::PipelineConfig;
-use jrt_bpred::{Btb, DirectionPredictor, Gshare, ReturnStack};
+use jrt_bpred::{BranchEval, Gshare};
 use jrt_cache::{Cache, CacheStats};
 use jrt_trace::{AccessKind, InstClass, NativeInst, TraceSink, NUM_REGS};
-use std::collections::VecDeque;
 
+/// Issue-slot ring length in cycles. It is exact while no live claim
+/// lies `SLOT_RING` or more cycles past the oldest cycle still queried.
+/// Queries start at `fetch + frontend_depth` or later and fetch never
+/// moves back, so each claim must lie under `SLOT_RING` cycles past its
+/// own fetch. The ROB bounds that span: retired instructions completed
+/// by the fetch that retired them, so only the `rob_size` in-flight
+/// ones delay an issue, each by at most a missing load's latency plus
+/// one contended slot — under 64 × 27 cycles in the paper's machine.
 const SLOT_RING: usize = 1 << 16;
 
 /// Results of one pipeline run.
@@ -51,14 +58,17 @@ pub struct Pipeline {
     cfg: PipelineConfig,
     icache: Cache,
     dcache: Cache,
-    predictor: Box<dyn DirectionPredictor>,
-    btb: Btb,
-    ras: ReturnStack,
-
+    branches: BranchEval,
+    latency: [u64; InstClass::ALL.len()], // by `InstClass` discriminant
+    icache_line_shift: u32,
     reg_ready: [u64; NUM_REGS],
-    rob: VecDeque<u64>,
-    // issue-slot occupancy ring: (cycle, issued-count)
-    slots: Vec<(u64, u32)>,
+    // Completion cycles by retirement number, in a power-of-two ring.
+    rob: Box<[u64]>,
+    rob_mask: usize,
+    // Per cycle: the cycle a slot last counted (cycle 0 is never
+    // queried, so a zero tag is empty) and how many issued in it.
+    slot_cycle: Box<[u64]>,
+    slot_count: Box<[u32]>,
 
     fetch_cycle: u64,
     fetch_in_group: u32,
@@ -66,8 +76,6 @@ pub struct Pipeline {
     last_complete: u64,
 
     retired: u64,
-    predicted_events: u64,
-    mispredicts: u64,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -82,28 +90,33 @@ impl std::fmt::Debug for Pipeline {
 
 impl Pipeline {
     /// Creates a pipeline with the paper's Gshare front end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.rob_size` is zero.
     pub fn new(cfg: PipelineConfig) -> Self {
-        Self::with_predictor(cfg, Box::new(Gshare::paper()))
-    }
-
-    /// Creates a pipeline with an explicit direction predictor.
-    pub fn with_predictor(cfg: PipelineConfig, predictor: Box<dyn DirectionPredictor>) -> Self {
+        assert!(cfg.rob_size >= 1, "rob_size must be at least 1");
+        let ring = cfg.rob_size.next_power_of_two();
+        let mut latency = [0; InstClass::ALL.len()];
+        for class in InstClass::ALL {
+            latency[class as usize] = cfg.latency(class);
+        }
         Pipeline {
             icache: Cache::new(cfg.icache),
             dcache: Cache::new(cfg.dcache),
-            predictor,
-            btb: Btb::paper(),
-            ras: ReturnStack::paper(),
+            branches: BranchEval::new(Box::new(Gshare::paper())),
+            latency,
+            icache_line_shift: cfg.icache.line.trailing_zeros(),
             reg_ready: [0; NUM_REGS],
-            rob: VecDeque::with_capacity(cfg.rob_size),
-            slots: vec![(u64::MAX, 0); SLOT_RING],
+            rob: vec![0; ring].into_boxed_slice(),
+            rob_mask: ring - 1,
+            slot_cycle: vec![0; SLOT_RING].into_boxed_slice(),
+            slot_count: vec![0; SLOT_RING].into_boxed_slice(),
             fetch_cycle: 1,
             fetch_in_group: 0,
             last_fetch_line: u64::MAX,
             last_complete: 0,
             retired: 0,
-            predicted_events: 0,
-            mispredicts: 0,
             cfg,
         }
     }
@@ -115,27 +128,28 @@ impl Pipeline {
 
     /// Produces the final report.
     pub fn report(&self) -> PipelineReport {
+        let branches = self.branches.stats();
         PipelineReport {
             instructions: self.retired,
             cycles: self.cycles(),
-            predicted_events: self.predicted_events,
-            mispredicts: self.mispredicts,
+            predicted_events: branches.predicted_events(),
+            mispredicts: branches.mispredicts(),
             icache: *self.icache.stats(),
             dcache: *self.dcache.stats(),
         }
     }
 
     fn claim_issue_slot(&mut self, earliest: u64) -> u64 {
-        let width = self.cfg.width;
         let mut cycle = earliest;
         loop {
-            let slot = &mut self.slots[(cycle as usize) & (SLOT_RING - 1)];
-            if slot.0 != cycle {
-                *slot = (cycle, 1);
+            let i = (cycle as usize) & (SLOT_RING - 1);
+            if self.slot_cycle[i] != cycle {
+                self.slot_cycle[i] = cycle;
+                self.slot_count[i] = 1;
                 return cycle;
             }
-            if slot.1 < width {
-                slot.1 += 1;
+            if self.slot_count[i] < self.cfg.width {
+                self.slot_count[i] += 1;
                 return cycle;
             }
             cycle += 1;
@@ -149,94 +163,75 @@ impl Pipeline {
             self.fetch_in_group = 0;
         }
         // I-cache probe at line granularity.
-        let line = inst.pc / u64::from(self.cfg.icache.line);
+        let line = inst.pc >> self.icache_line_shift;
         if line != self.last_fetch_line {
             self.last_fetch_line = line;
-            let out = self.icache.access(inst.pc, AccessKind::Read, inst.phase);
+            let out = self.icache.access_unattributed(inst.pc, AccessKind::Read);
             if !out.hit {
                 self.fetch_cycle += self.cfg.miss_penalty;
                 self.fetch_in_group = 0;
             }
         }
-        // ROB back-pressure: fetch stalls until the head retires.
-        while self.rob.len() >= self.cfg.rob_size {
-            let head = self.rob.pop_front().expect("rob non-empty");
-            if head > self.fetch_cycle {
-                self.fetch_cycle = head;
-                self.fetch_in_group = 0;
-            }
+        // ROB back-pressure: fetch stalls until the head, `rob_size`
+        // older, completes. Before the window fills this reads a slot
+        // not yet written, which holds 0.
+        let head =
+            self.rob[self.retired.wrapping_sub(self.cfg.rob_size as u64) as usize & self.rob_mask];
+        if head > self.fetch_cycle {
+            self.fetch_cycle = head;
+            self.fetch_in_group = 0;
         }
         self.fetch_in_group += 1;
         self.fetch_cycle
     }
 
-    fn resolve_control(&mut self, inst: &NativeInst, complete: u64) {
-        let Some(ctrl) = inst.ctrl else { return };
-        let mispredicted = match inst.class {
-            InstClass::CondBranch => {
-                self.predicted_events += 1;
-                let predicted_taken = self.predictor.predict_and_update(inst.pc, ctrl.taken);
-                let mut wrong = predicted_taken != ctrl.taken;
-                if ctrl.taken {
-                    let target_ok = self.btb.predict_and_update(inst.pc, ctrl.target);
-                    if predicted_taken && !target_ok {
-                        wrong = true;
-                    }
-                }
-                wrong
-            }
-            InstClass::IndirectJump | InstClass::IndirectCall => {
-                self.predicted_events += 1;
-                let ok = self.btb.predict_and_update(inst.pc, ctrl.target);
-                if inst.class == InstClass::IndirectCall {
-                    self.ras.push(inst.pc + 4);
-                }
-                !ok
-            }
-            InstClass::Call => {
-                self.ras.push(inst.pc + 4);
-                false
-            }
-            InstClass::Jump => false,
-            InstClass::Ret => {
-                self.predicted_events += 1;
-                self.ras.pop() != Some(ctrl.target)
-            }
-            _ => return,
+    fn resolve_control(&mut self, inst: &NativeInst, fetch: u64, complete: u64) {
+        // A non-transfer that carries an outcome is not predicted and
+        // does not end the fetch group.
+        let Some(mispredicted) = self.branches.mispredicted(inst) else {
+            return;
         };
-
+        // A transfer with no register sources had its operands ready
+        // long before, so it resolves in decode without executing.
+        let resolved = if inst.src1.is_none() && inst.src2.is_none() {
+            (fetch + 2).min(complete)
+        } else {
+            complete
+        };
         if mispredicted {
-            self.mispredicts += 1;
-            let redirect = complete + self.cfg.redirect_penalty;
+            let redirect = resolved + self.cfg.redirect_penalty;
             if redirect > self.fetch_cycle {
                 self.fetch_cycle = redirect;
             }
             self.fetch_in_group = 0;
             self.last_fetch_line = u64::MAX;
-        } else if ctrl.taken {
+        } else if inst.ctrl.is_some_and(|c| c.taken) {
             // Correctly predicted taken transfer still ends the fetch
             // group (one taken transfer per cycle).
             self.fetch_cycle += 1;
             self.fetch_in_group = 0;
         }
     }
-}
 
-impl TraceSink for Pipeline {
-    fn accept(&mut self, inst: &NativeInst) {
+    /// Schedules one instruction; returns its fetch and issue cycles.
+    fn step(&mut self, inst: &NativeInst) -> (u64, u64) {
         let fetch = self.fetch(inst);
 
         // Rename: only true dependences delay dispatch.
         let mut ready = fetch + self.cfg.frontend_depth;
-        for src in [inst.src1, inst.src2].into_iter().flatten() {
+        if let Some(src) = inst.src1 {
+            ready = ready.max(self.reg_ready[usize::from(src) % NUM_REGS]);
+        }
+        if let Some(src) = inst.src2 {
             ready = ready.max(self.reg_ready[usize::from(src) % NUM_REGS]);
         }
 
         let issue = self.claim_issue_slot(ready);
+        debug_assert!(issue - fetch < SLOT_RING as u64, "slot ring aliased");
 
-        let mut latency = self.cfg.latency(inst.class);
+        let mut latency = self.latency[inst.class as usize];
         if let Some(m) = inst.mem {
-            let out = self.dcache.access(m.addr, m.kind, inst.phase);
+            let out = self.dcache.access_unattributed(m.addr, m.kind);
             if !out.hit && m.kind == AccessKind::Read {
                 latency += self.cfg.miss_penalty;
             }
@@ -246,22 +241,23 @@ impl TraceSink for Pipeline {
         if let Some(dst) = inst.dst {
             self.reg_ready[usize::from(dst) % NUM_REGS] = complete;
         }
-        self.rob.push_back(complete);
+        self.rob[self.retired as usize & self.rob_mask] = complete;
         if complete > self.last_complete {
             self.last_complete = complete;
         }
         self.retired += 1;
 
-        // Control transfers whose operands were ready long before the
-        // transfer (no outstanding register sources) resolve in the
-        // decode stage — the front end verifies the predicted target
-        // without waiting for execution.
-        let resolve_at = if inst.ctrl.is_some() && inst.src1.is_none() && inst.src2.is_none() {
-            (fetch + 2).min(complete)
-        } else {
-            complete
-        };
-        self.resolve_control(inst, resolve_at);
+        if inst.ctrl.is_some() {
+            self.resolve_control(inst, fetch, complete);
+        }
+        (fetch, issue)
+    }
+}
+
+impl TraceSink for Pipeline {
+    #[inline]
+    fn accept(&mut self, inst: &NativeInst) {
+        self.step(inst);
     }
 }
 
@@ -372,6 +368,33 @@ mod tests {
         let r = run(8, trace);
         assert!(r.cycles >= 12, "div latency must appear");
         assert!(r.ipc() <= 8.0);
+    }
+
+    #[test]
+    fn dependent_missing_loads_stay_inside_the_slot_ring() {
+        // 64 loads, each missing on its own line and addressed by the
+        // previous one's result: the longest issue-past-fetch span the
+        // 64-entry ROB allows.
+        let cfg = PipelineConfig::paper(1);
+        let bound = cfg.rob_size as u64 * (cfg.latency(InstClass::Load) + cfg.miss_penalty + 1);
+        let mut p = Pipeline::new(cfg);
+        let mut widest = 0;
+        for k in 0..64u64 {
+            let load = NativeInst::load(0x1_0000 + (k % 8) * 4, 0x2000_0000 + k * 4096, 4, P)
+                .with_dst(1)
+                .with_srcs(1, None);
+            let (fetch, issue) = p.step(&load);
+            widest = widest.max(issue - fetch);
+        }
+        assert!(
+            widest > 63 * 24,
+            "the chain must serialize, widest {widest}"
+        );
+        assert!(
+            widest < bound,
+            "span {widest} exceeds the ROB bound {bound}"
+        );
+        assert!(bound < SLOT_RING as u64);
     }
 
     #[test]
